@@ -10,8 +10,9 @@ coverage      covered-UE ratio vs number of surfaces (CSV)
 pattern-dump  AP array and element pattern curves (CSV)
 stats         fading statistics and metrics of one UE-spot pair (JSON)
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when an exact
-solver hit its node budget and returned an incumbent.
+Exit codes: 0 on success, 2 on configuration or I/O errors (a worker
+process that died included), 3 when an exact solver hit its node budget
+and returned an incumbent.
 """
 
 from __future__ import annotations

@@ -203,6 +203,12 @@ class ScenarioConfig:
         ):
             if solver not in SOLVERS:
                 raise ConfigError(f"{path}: must be one of {SOLVERS}")
+        for path, budget in (
+            ("deploy.node_budget", self.deploy.node_budget),
+            ("coverage.node_budget", self.coverage.node_budget),
+        ):
+            if budget < 1:
+                raise ConfigError(f"{path}: must be >= 1, got {budget!r}")
         for path, modes in (
             ("deploy.modes", self.deploy.modes),
             ("coverage.modes", self.coverage.modes),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import LinkStats, link_stats
 from .geometry import CandidateSpot, LinkGeometry, Scene, link_geometry, los_clear
-from .link import IrsUnit, PowerBudget, snr_series
+from .link import PowerBudget, snr_series
 from .patterns import ApArrayPattern, ErpModel
 from .seeds import STREAM_DIRECT, STREAM_FADING
 
@@ -448,17 +448,39 @@ def evaluate_plan(
     )
 
 
+def _row_blocks(n_rows: int, blocks: int) -> list[tuple[int, int]]:
+    """``blocks`` contiguous [lo, hi) row ranges of near-equal size (fewer
+    when there are fewer rows)."""
+    n = max(1, min(n_rows, blocks))
+    edges = [n_rows * i // n for i in range(n + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _map_blocks(pool, fn, arg_tuples: list[tuple]) -> list:
+    """fn(*args) for each tuple, in order; in the pool's workers if given."""
+    if pool is None:
+        return [fn(*args) for args in arg_tuples]
+    futures = [pool.submit(fn, *args) for args in arg_tuples]
+    return [f.result() for f in futures]
+
+
 def link_stats_grid(
     scene: Scene,
     spots: list[CandidateSpot],
     ap_pattern: ApArrayPattern,
     erp: ErpModel,
     f_c_ghz: float,
+    *,
+    pool=None,
+    blocks: int = 1,
 ) -> StatsGrid:
     """Fading statistics of every AP-UE, AP-spot and spot-UE leg.
 
     LoS is taken from the scene geometry; the direct and incident legs are
-    shared across pairs, so they are computed once per UE / per spot.
+    shared across pairs, so they are computed once per UE / per spot.  The
+    spot-UE legs run in ``blocks`` contiguous blocks of UE rows, on ``pool``
+    (a concurrent.futures executor) when one is given; the result does not
+    depend on either.
     """
     ap = scene.ap_position
     tilt = scene.ap_tilt_deg
@@ -498,8 +520,25 @@ def link_stats_grid(
                 arrival_polar_deg=geom.arrival_polar_deg,
             )
         )
+    rows = _row_blocks(scene.num_ues, blocks)
+    parts = _map_blocks(
+        pool, _irs_ue_rows, [(scene, spots, erp, f_c_ghz, lo, hi) for lo, hi in rows]
+    )
+    irs_ue = tuple(row for part in parts for row in part)
+    return StatsGrid(direct=tuple(direct), ap_irs=tuple(ap_irs), irs_ue=irs_ue)
+
+
+def _irs_ue_rows(
+    scene: Scene,
+    spots: list[CandidateSpot],
+    erp: ErpModel,
+    f_c_ghz: float,
+    lo: int,
+    hi: int,
+) -> list[tuple[LinkStats, ...]]:
+    """Spot-UE legs of UEs lo..hi-1, one tuple over all spots per UE."""
     irs_ue = []
-    for ue in scene.ues:
+    for ue in scene.ues[lo:hi]:
         row = []
         for s in spots:
             geom = link_geometry(ue, s.position, target_normal=s.facet_normal)
@@ -517,7 +556,7 @@ def link_stats_grid(
                 )
             )
         irs_ue.append(tuple(row))
-    return StatsGrid(direct=tuple(direct), ap_irs=tuple(ap_irs), irs_ue=tuple(irs_ue))
+    return irs_ue
 
 
 def build_metric_matrices(
@@ -530,40 +569,40 @@ def build_metric_matrices(
     n_mc: int,
     master_seed: int,
     modes: tuple[str, ...] = ("active", "passive"),
+    pool=None,
+    blocks: int = 1,
 ) -> dict[str, MetricMatrix]:
     """Monte Carlo metric matrices, one per requested surface mode.
 
     Both modes reuse the same fading draws per (UE, spot) pair, and the
     per-element draws do not depend on n_elements, so matrices across modes
-    and element counts are paired experiments.
+    and element counts are paired experiments.  Every pair draws from its
+    own substream, so building ``blocks`` contiguous blocks of UE rows, on
+    ``pool`` (a concurrent.futures executor) when one is given, gives
+    bit-identical matrices.
     """
-    u, m = grid.num_ues, grid.num_spots
-    rates = {mode: np.empty((u, m)) for mode in modes}
-    snr_db = {mode: np.empty((u, m)) for mode in modes}
-    for ui in range(u):
-        for mi in range(m):
-            series = snr_series(
-                grid.direct[ui],
-                grid.ap_irs[mi],
-                grid.irs_ue[ui][mi],
-                n_elements,
+    parts = _map_blocks(
+        pool,
+        _metric_rows,
+        [
+            (
+                StatsGrid(grid.direct[lo:hi], grid.ap_irs, grid.irs_ue[lo:hi]),
+                lo,
                 budget,
-                amp_power_max=amp_power_max,
-                amp_noise_psd=amp_noise_psd,
-                n_mc=n_mc,
-                seed_path=(master_seed, STREAM_FADING, ui, mi),
-                modes=modes,
+                n_elements,
+                amp_power_max,
+                amp_noise_psd,
+                n_mc,
+                master_seed,
+                modes,
             )
-            for mode, gamma in series.items():
-                rates[mode][ui, mi] = np.mean(np.log2(1.0 + gamma))
-                mean_gamma = float(np.mean(gamma))
-                snr_db[mode][ui, mi] = (
-                    10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
-                )
+            for lo, hi in _row_blocks(grid.num_ues, blocks)
+        ],
+    )
     return {
         mode: MetricMatrix(
-            rates=rates[mode],
-            avg_snr_db=snr_db[mode],
+            rates=np.concatenate([part[mode][0] for part in parts]),
+            avg_snr_db=np.concatenate([part[mode][1] for part in parts]),
             mode=mode,
             n_elements=n_elements,
             n_mc=n_mc,
@@ -573,29 +612,44 @@ def build_metric_matrices(
     }
 
 
-def build_metric_matrix(
-    scene: Scene,
-    spots: list[CandidateSpot],
-    unit: IrsUnit,
+def _metric_rows(
+    grid: StatsGrid,
+    first: int,
     budget: PowerBudget,
-    *,
-    f_c_ghz: float,
-    ap_pattern: ApArrayPattern,
+    n_elements: int,
+    amp_power_max: float,
+    amp_noise_psd: float,
     n_mc: int,
     master_seed: int,
-) -> MetricMatrix:
-    """One-call matrix for a single surface template."""
-    grid = link_stats_grid(scene, spots, ap_pattern, unit.erp, f_c_ghz)
-    return build_metric_matrices(
-        grid,
-        budget,
-        n_elements=unit.n_elements,
-        amp_power_max=unit.amp_power_max,
-        amp_noise_psd=unit.amp_noise_psd,
-        n_mc=n_mc,
-        master_seed=master_seed,
-        modes=(unit.mode,),
-    )[unit.mode]
+    modes: tuple[str, ...],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(rates, avg SNR dB) rows per mode of a grid whose UE rows start at
+    global UE index ``first``, which keys the fading substreams."""
+    u, m = grid.num_ues, grid.num_spots
+    rates = {mode: np.empty((u, m)) for mode in modes}
+    snr_db = {mode: np.empty((u, m)) for mode in modes}
+    for i in range(u):
+        ui = first + i
+        for mi in range(m):
+            series = snr_series(
+                grid.direct[i],
+                grid.ap_irs[mi],
+                grid.irs_ue[i][mi],
+                n_elements,
+                budget,
+                amp_power_max=amp_power_max,
+                amp_noise_psd=amp_noise_psd,
+                n_mc=n_mc,
+                seed_path=(master_seed, STREAM_FADING, ui, mi),
+                modes=modes,
+            )
+            for mode, gamma in series.items():
+                rates[mode][i, mi] = np.mean(np.log2(1.0 + gamma))
+                mean_gamma = float(np.mean(gamma))
+                snr_db[mode][i, mi] = (
+                    10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
+                )
+    return {mode: (rates[mode], snr_db[mode]) for mode in modes}
 
 
 def direct_only_metrics(

@@ -11,7 +11,7 @@ seed, so a layout is a pure function of its configuration.
 
 from __future__ import annotations
 
-from .config import LayoutConfig, ScenarioConfig
+from .config import ConfigError, LayoutConfig, ScenarioConfig
 from .geometry import Building, Scene, scatter_street_points
 from .seeds import STREAM_HEIGHTS, STREAM_UES, substream
 
@@ -55,16 +55,19 @@ def build_scene(cfg: ScenarioConfig) -> Scene | None:
     if layout.ues_xy is not None:
         ues = tuple((x, y, layout.ue_height) for x, y in layout.ues_xy)
     else:
-        ues = tuple(
-            scatter_street_points(
-                area_x,
-                area_y,
-                buildings,
-                layout.num_ues,
-                substream(cfg.master_seed, STREAM_UES),
-                height=layout.ue_height,
+        try:
+            ues = tuple(
+                scatter_street_points(
+                    area_x,
+                    area_y,
+                    buildings,
+                    layout.num_ues,
+                    substream(cfg.master_seed, STREAM_UES),
+                    height=layout.ue_height,
+                )
             )
-        )
+        except RuntimeError as exc:  # the streets cannot hold that many UEs
+            raise ConfigError(f"layout.num_ues: {exc}") from exc
     return Scene(
         ap_position=(0.0, 0.0, cfg.ap.height),
         ap_tilt_deg=cfg.ap.tilt_deg,

@@ -9,14 +9,16 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 
 import numpy as np
 
 from . import __version__
 from .channel import link_stats
-from .config import ScenarioConfig, scenario_fingerprint
+from .config import ConfigError, ScenarioConfig, scenario_fingerprint
 from .geometry import filter_candidates_by_ap_los, generate_candidate_spots, link_geometry
 from .link import snr_series
 from .patterns import ErpModel
@@ -182,6 +184,62 @@ def candidate_spots(cfg: ScenarioConfig, scene) -> list:
     return filter_candidates_by_ap_los(raw, scene)
 
 
+def pool_cores() -> int:
+    """Cores a fork pool may use: the process's CPU affinity set on Linux.
+    Elsewhere fork is unsafe or missing, so runs stay serial (one core)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# Runs with fewer (UE, spot, MC draw) triples than this stay serial: there
+# the pool's import, start and shutdown (20-50 ms on a 2-core VM) cost more
+# than a second worker saves on the stats grid and the MC matrices.
+POOL_MIN_WORK = 8192
+
+
+def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
+    """Pool size of a run: every usable core, capped at the UE rows there are
+    to split, and 1 (serial) for runs too small to pay for a pool."""
+    if num_ues * num_spots * n_mc < POOL_MIN_WORK:
+        return 1
+    return max(1, min(cores, num_ues))
+
+
+@contextlib.contextmanager
+def _fork_pool(workers: int):
+    """A process pool of ``workers`` forked workers, or None (serial) below two.
+
+    A worker that dies takes the pool down; that surfaces as a
+    ChildProcessError, an OSError like any other failure of the machine.
+    """
+    if workers < 2:
+        yield None
+        return
+    # Imported here: the pool machinery costs tens of ms that serial runs
+    # and the other subcommands should not pay at start-up.  Fork, not
+    # spawn: a spawned worker would re-import numpy, scipy and irsplan
+    # (about 1 s on a 2-core VM, as much as two workers save on a 3 s run),
+    # and the run has started no threads of its own when the pool forks.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+        try:
+            yield pool
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a worker process died: {exc}") from exc
+
+
+def _check_plan_sizes(path: str, sizes, num_spots: int):
+    """Reject plans with more surfaces than spots before any grid or MC work."""
+    for size in sizes:
+        if size > num_spots:
+            raise ConfigError(
+                f"{path}: {size} surfaces exceed the {num_spots} candidate spots"
+            )
+
+
 def _spot_entry(spot) -> dict:
     return {
         "id": spot.id,
@@ -224,7 +282,9 @@ def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> di
     For every split k the element budget divides evenly over k surfaces
     (J = k placements) and the plan maximizing the configured objective is
     solved per surface mode.  Precomputed scene/spots/stats can be passed in
-    to share work across runs.
+    to share work across runs.  The stats grid and the MC matrices run on a
+    pool of worker processes (see worker_count); output bytes do not depend
+    on its size.
     """
     if scene is None:
         scene = build_scene(cfg)
@@ -234,48 +294,61 @@ def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> di
         spots = candidate_spots(cfg, scene)
     if not spots:
         raise ValueError("no candidate spots survive AP visibility filtering")
-    if grid is None:
-        grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
-    budget = cfg.budget()
     dep = cfg.deploy
-    baseline_rates, baseline_snr = direct_only_metrics(
-        grid.direct, budget, cfg.mc.n_mc, cfg.master_seed
-    )
+    _check_plan_sizes("deploy.splits", dep.splits, len(spots))
+    budget = cfg.budget()
     results = []
     worst = "proven_optimal"
-    for split in dep.splits:
-        n_per = cfg.surface.n_total // split
-        matrices = build_metric_matrices(
-            grid,
-            budget,
-            n_elements=n_per,
-            amp_power_max=cfg.amp_power_max_w(),
-            amp_noise_psd=cfg.amp_noise_psd_w(),
-            n_mc=cfg.mc.n_mc,
-            master_seed=cfg.master_seed,
-            modes=dep.modes,
+    workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
+    with _fork_pool(workers) as pool:
+        if grid is None:
+            grid = link_stats_grid(
+                scene,
+                spots,
+                cfg.ap_pattern(),
+                cfg.erp(),
+                cfg.rf.f_c_ghz,
+                pool=pool,
+                blocks=workers,
+            )
+        baseline_rates, baseline_snr = direct_only_metrics(
+            grid.direct, budget, cfg.mc.n_mc, cfg.master_seed
         )
-        for mode in dep.modes:
-            problem = PlanProblem(
-                matrix=matrices[mode],
-                num_surfaces=split,
-                objective=dep.objective,
-                threshold_db=dep.threshold_db,
+        for split in dep.splits:
+            n_per = cfg.surface.n_total // split
+            matrices = build_metric_matrices(
+                grid,
+                budget,
+                n_elements=n_per,
+                amp_power_max=cfg.amp_power_max_w(),
+                amp_noise_psd=cfg.amp_noise_psd_w(),
+                n_mc=cfg.mc.n_mc,
+                master_seed=cfg.master_seed,
+                modes=dep.modes,
+                pool=pool,
+                blocks=workers,
             )
-            solution = _solve(problem, dep.solver, dep.node_budget)
-            if solution.optimality != "proven_optimal" and dep.solver != "greedy":
-                worst = "heuristic"
-            results.append(
-                _plan_entry(
-                    mode,
-                    split,
-                    n_per,
-                    solution,
-                    matrices[mode],
-                    spots,
-                    dep.report_thresholds_db,
+            for mode in dep.modes:
+                problem = PlanProblem(
+                    matrix=matrices[mode],
+                    num_surfaces=split,
+                    objective=dep.objective,
+                    threshold_db=dep.threshold_db,
                 )
-            )
+                solution = _solve(problem, dep.solver, dep.node_budget)
+                if solution.optimality != "proven_optimal" and dep.solver != "greedy":
+                    worst = "heuristic"
+                results.append(
+                    _plan_entry(
+                        mode,
+                        split,
+                        n_per,
+                        solution,
+                        matrices[mode],
+                        spots,
+                        dep.report_thresholds_db,
+                    )
+                )
     return {
         "meta": header_meta(cfg),
         "num_spots": len(spots),
@@ -301,7 +374,9 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
     split); the planner maximizes the number of UEs whose average SNR meets
     the threshold.  For heuristic solvers each J is additionally warm
     started with the previous J's choice plus its best single extension, so
-    the reported ratios are nondecreasing in J by construction.
+    the reported ratios are nondecreasing in J by construction.  The stats
+    grid and the MC matrices run on a pool of worker processes as in
+    run_deployment.
     """
     if scene is None:
         scene = build_scene(cfg)
@@ -311,20 +386,33 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
         spots = candidate_spots(cfg, scene)
     if not spots:
         raise ValueError("no candidate spots survive AP visibility filtering")
-    if grid is None:
-        grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
-    budget = cfg.budget()
     cov = cfg.coverage
-    matrices = build_metric_matrices(
-        grid,
-        budget,
-        n_elements=cfg.surface.n_elements,
-        amp_power_max=cfg.amp_power_max_w(),
-        amp_noise_psd=cfg.amp_noise_psd_w(),
-        n_mc=cfg.mc.n_mc,
-        master_seed=cfg.master_seed,
-        modes=cov.modes,
-    )
+    _check_plan_sizes("coverage.num_surfaces", cov.num_surfaces, len(spots))
+    budget = cfg.budget()
+    workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
+    with _fork_pool(workers) as pool:
+        if grid is None:
+            grid = link_stats_grid(
+                scene,
+                spots,
+                cfg.ap_pattern(),
+                cfg.erp(),
+                cfg.rf.f_c_ghz,
+                pool=pool,
+                blocks=workers,
+            )
+        matrices = build_metric_matrices(
+            grid,
+            budget,
+            n_elements=cfg.surface.n_elements,
+            amp_power_max=cfg.amp_power_max_w(),
+            amp_noise_psd=cfg.amp_noise_psd_w(),
+            n_mc=cfg.mc.n_mc,
+            master_seed=cfg.master_seed,
+            modes=cov.modes,
+            pool=pool,
+            blocks=workers,
+        )
     _, baseline_snr = direct_only_metrics(grid.direct, budget, cfg.mc.n_mc, cfg.master_seed)
     rows = []
     exhausted = False

@@ -208,9 +208,12 @@ def ula_elevation_average(
 def segment_hits_box_interior(a, b, min_corner, max_corner, samples=512) -> bool:
     """Whether any sampled interior point of segment a-b lies strictly
     inside the box.  One-directional: a True here must mean blocked, but a
-    thin crossing can slip between samples, so False proves nothing."""
+    thin crossing can slip between samples, so False proves nothing.
+    Coincident endpoints span no open segment and so hit nothing."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if np.array_equal(a, b):
+        return False
     mn = np.asarray(min_corner, dtype=float)
     mx = np.asarray(max_corner, dtype=float)
     t = (np.arange(1, samples + 1)) / (samples + 1.0)
