@@ -237,6 +237,24 @@ def rice_parameters(k_tilde: float) -> tuple[float, float]:
     return nu, sigma
 
 
+def rician_amplitudes(
+    k_tilde: float, power: float, rng: np.random.Generator, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Rician amplitudes of the given shape with E{xi^2} = power and factor
+    k_tilde.
+
+    Draws standard_normal((*shape, 2)), so the variates of the leading axes
+    come first in the stream.  An infinite factor degenerates to the
+    constant sqrt(power) and draws nothing.
+    """
+    scale = math.sqrt(power)
+    nu, sigma = rice_parameters(k_tilde)
+    if sigma == 0.0:
+        return np.full(shape, scale * nu)
+    z = rng.standard_normal((*shape, 2))
+    return scale * np.hypot(nu + sigma * z[..., 0], sigma * z[..., 1])
+
+
 def sample_fading(
     k_tilde: float, rho: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -248,8 +266,4 @@ def sample_fading(
         raise ValueError("rho must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    nu, sigma = rice_parameters(k_tilde)
-    if sigma == 0.0:
-        return np.full(n, math.sqrt(rho))
-    z = rng.standard_normal((n, 2))
-    return math.sqrt(rho) * np.hypot(nu + sigma * z[:, 0], sigma * z[:, 1])
+    return rician_amplitudes(k_tilde, rho, rng, (n,))

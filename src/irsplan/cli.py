@@ -34,16 +34,15 @@ from .config import (
     experiment_preset,
     load_config,
 )
-from .link import snr_series
+from .link import rate_and_snr_db, snr_series
 from .patterns import ap_pattern_value, erp_value
 from .planner import link_stats_grid
-from .presets import build_scene
 from .runners import (
-    candidate_spots,
     header_meta,
     run_coverage,
     run_deployment,
     run_link_sweep,
+    scene_and_spots,
     spots_rows,
 )
 from .seeds import STREAM_FADING
@@ -107,10 +106,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_spots(args) -> int:
     cfg = _load(args)
-    scene = build_scene(cfg)
-    if scene is None:
-        raise ConfigError("layout.kind: 'none' has no spots to list")
-    spots = candidate_spots(cfg, scene)
+    scene, spots = scene_and_spots(cfg)
     payload = spots_rows(cfg, scene, spots)
     rows = [
         {
@@ -179,10 +175,7 @@ def _cmd_pattern_dump(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _load(args)
-    scene = build_scene(cfg)
-    if scene is None:
-        raise ConfigError("layout.kind: 'none' has no scene for stats")
-    spots = candidate_spots(cfg, scene)
+    scene, spots = scene_and_spots(cfg)
     if not (0 <= args.ue < scene.num_ues):
         raise ConfigError(f"--ue: must lie in [0, {scene.num_ues - 1}]")
     if not (0 <= args.spot < len(spots)):
@@ -222,14 +215,9 @@ def _cmd_stats(args) -> int:
             "irs_ue": stats_dict(grid.irs_ue[args.ue][0]),
         },
         "metrics": {
-            mode: {
-                "ergodic_rate_bps_hz": float(np.mean(np.log2(1.0 + g))),
-                "avg_snr_db": (
-                    10.0 * math.log10(float(np.mean(g)))
-                    if float(np.mean(g)) > 0
-                    else -math.inf
-                ),
-            }
+            mode: dict(
+                zip(("ergodic_rate_bps_hz", "avg_snr_db"), rate_and_snr_db(g))
+            )
             for mode, g in series.items()
         },
     }

@@ -366,6 +366,14 @@ def scatter_street_points(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    # Disks of radius min_spacing/2 around the points are disjoint and lie
+    # in the area grown by that radius, so their total area bounds count.
+    width, depth = area_x[1] - area_x[0], area_y[1] - area_y[0]
+    if count * math.pi * min_spacing**2 / 4.0 > (width + min_spacing) * (depth + min_spacing):
+        raise RuntimeError(
+            f"could not place {count} street points {min_spacing:g} m apart "
+            f"in a {width:g} x {depth:g} m area"
+        )
     pts: list[Point3] = []
     xy = np.empty((0, 2))
     attempts = 0

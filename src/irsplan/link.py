@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkStats, rice_parameters
-from .geometry import CandidateSpot
+from .channel import LinkStats, rician_amplitudes
 from .patterns import ErpModel
 from .seeds import CHUNK, LEG_AP_IRS, LEG_DIRECT, LEG_IRS_UE, substream
 
@@ -57,7 +56,6 @@ class IrsUnit:
     amp_power_max: float = 0.0  # W, amplifier budget P_A (active only)
     amp_noise_psd: float = 0.0  # W/Hz, amplifier noise N_v (active only)
     erp: ErpModel = ErpModel(1.0)
-    spot: CandidateSpot | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -69,18 +67,6 @@ class IrsUnit:
                 raise ValueError("active surfaces need a positive amp_power_max")
             if self.amp_noise_psd < 0:
                 raise ValueError("amp_noise_psd must be >= 0")
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Monte Carlo summary of one link."""
-
-    ergodic_rate: float  # bps/Hz
-    avg_snr_db: float    # 10 log10 E{gamma}
-    mc_samples: int
-
-    def covered(self, threshold_db: float) -> bool:
-        return self.avg_snr_db >= threshold_db
 
 
 def optimal_amplification(h_i_amps, unit: IrsUnit, budget: PowerBudget) -> float:
@@ -99,12 +85,45 @@ def optimal_amplification(h_i_amps, unit: IrsUnit, budget: PowerBudget) -> float
     return math.sqrt(unit.amp_power_max / t)
 
 
+def snr_from_sums(
+    mode: str,
+    n_elements: int,
+    a,
+    d,
+    budget: PowerBudget,
+    power_sums=None,
+    *,
+    amp_power_max: float = 0.0,
+    amp_noise_psd: float = 0.0,
+):
+    """Optimal SNR from the amplitude sums of one or many fading draws.
+
+    a = sum h_i h_r and d = |h_d| are floats or arrays over draws.  An
+    active surface also needs power_sums(), returning (sum h_i^2,
+    sum h_r^2); it is called for that mode only.  With no elements the AP
+    serves the UE alone with its full budget.
+    """
+    sigma2 = budget.noise_power
+    if n_elements == 0:
+        return budget.p_total * d * d / sigma2
+    if mode == "passive":
+        s = a + d
+        return budget.p_total * s * s / sigma2
+    sum_hi2, b = power_sums()
+    sigma_v2 = amp_noise_psd * budget.bandwidth
+    t = budget.p_tx_max * sum_hi2 + n_elements * sigma_v2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = budget.p_tx_max * (math.sqrt(amp_power_max) * a + np.sqrt(t) * d) ** 2
+        den = amp_power_max * sigma_v2 * b + sigma2 * t
+        # An amplifier that sees nothing at all leaves only the direct path.
+        return np.where(t > 0.0, num / den, budget.p_tx_max * d * d / sigma2)
+
+
 def snr_optimal(h_i_amps, h_r_amps, h_d_amp, unit: IrsUnit, budget: PowerBudget) -> float:
     """Instantaneous SNR with optimal phases, amplification and power.
 
     Inputs are channel amplitudes (path loss included): per-element incident
-    and reflected legs plus the direct leg.  With no elements the AP serves
-    the UE alone with its full budget.
+    and reflected legs plus the direct leg.
     """
     h_i = np.atleast_1d(np.asarray(h_i_amps, dtype=float))
     h_r = np.atleast_1d(np.asarray(h_r_amps, dtype=float))
@@ -113,37 +132,25 @@ def snr_optimal(h_i_amps, h_r_amps, h_d_amp, unit: IrsUnit, budget: PowerBudget)
     d = float(h_d_amp)
     if d < 0 or np.any(h_i < 0) or np.any(h_r < 0):
         raise ValueError("amplitudes must be >= 0")
-    sigma2 = budget.noise_power
-    n = h_i.size
-    if n == 0:
-        return budget.p_total * d * d / sigma2
-    a = float(h_i @ h_r)
-    if unit.mode == "passive":
-        s = a + d
-        return budget.p_total * s * s / sigma2
-    sigma_v2 = unit.amp_noise_psd * budget.bandwidth
-    p_a = unit.amp_power_max
-    t = budget.p_tx_max * float(h_i @ h_i) + n * sigma_v2
-    if t <= 0.0:
-        # Amplifier sees nothing at all; only the direct path remains.
-        return budget.p_tx_max * d * d / sigma2
-    b = float(h_r @ h_r)
-    num = budget.p_tx_max * (math.sqrt(p_a) * a + math.sqrt(t) * d) ** 2
-    den = p_a * sigma_v2 * b + sigma2 * t
-    return num / den
+    gamma = snr_from_sums(
+        unit.mode,
+        h_i.size,
+        float(h_i @ h_r),
+        d,
+        budget,
+        lambda: (float(h_i @ h_i), float(h_r @ h_r)),
+        amp_power_max=unit.amp_power_max,
+        amp_noise_psd=unit.amp_noise_psd,
+    )
+    return float(gamma)
 
 
 def _amp_chunk(
     stats: LinkStats, n_rows: int, take: int, seed_path: tuple[int, ...], leg: int, chunk_idx: int
 ) -> np.ndarray:
     """(n_rows, take) fading amplitudes of one leg, path loss included."""
-    scale = math.sqrt(stats.g * stats.rho)
-    nu, sigma = rice_parameters(stats.k_tilde)
-    if sigma == 0.0:
-        return np.full((n_rows, take), scale * nu)
     rng = substream(*seed_path, leg, chunk_idx)
-    z = rng.standard_normal((n_rows, take, 2))
-    return scale * np.hypot(nu + sigma * z[..., 0], sigma * z[..., 1])
+    return rician_amplitudes(stats.k_tilde, stats.g * stats.rho, rng, (n_rows, take))
 
 
 def snr_series(
@@ -173,80 +180,43 @@ def snr_series(
         raise ValueError(f"unknown modes: {sorted(unknown)}")
     if n_elements > 0 and (stats_ap_irs is None or stats_irs_ue is None):
         raise ValueError("surface legs are required when n_elements > 0")
-    sigma2 = budget.noise_power
     out = {m: np.empty(n_mc) for m in modes}
     done = 0
     chunk_idx = 0
     while done < n_mc:
         take = min(CHUNK, n_mc - done)
         d = _amp_chunk(stats_direct, 1, take, seed_path, LEG_DIRECT, chunk_idx)[0]
+        a = power_sums = None
         if n_elements > 0:
             h_i = _amp_chunk(stats_ap_irs, n_elements, take, seed_path, LEG_AP_IRS, chunk_idx)
             h_r = _amp_chunk(stats_irs_ue, n_elements, take, seed_path, LEG_IRS_UE, chunk_idx)
             a = np.einsum("ns,ns->s", h_i, h_r)
-            if "passive" in out:
-                s = a + d
-                out["passive"][done : done + take] = budget.p_total * s * s / sigma2
-            if "active" in out:
-                sigma_v2 = amp_noise_psd * budget.bandwidth
-                t = budget.p_tx_max * np.einsum("ns,ns->s", h_i, h_i) + n_elements * sigma_v2
-                b = np.einsum("ns,ns->s", h_r, h_r)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    num = budget.p_tx_max * (math.sqrt(amp_power_max) * a + np.sqrt(t) * d) ** 2
-                    den = amp_power_max * sigma_v2 * b + sigma2 * t
-                    gamma = np.where(t > 0.0, num / den, budget.p_tx_max * d * d / sigma2)
-                out["active"][done : done + take] = gamma
-        else:
-            gamma = budget.p_total * d * d / sigma2
-            for m in out:
-                out[m][done : done + take] = gamma
+            power_sums = lambda: (  # noqa: E731
+                np.einsum("ns,ns->s", h_i, h_i),
+                np.einsum("ns,ns->s", h_r, h_r),
+            )
+        for m in out:
+            out[m][done : done + take] = snr_from_sums(
+                m,
+                n_elements,
+                a,
+                d,
+                budget,
+                power_sums,
+                amp_power_max=amp_power_max,
+                amp_noise_psd=amp_noise_psd,
+            )
         done += take
         chunk_idx += 1
     return out
 
 
-def metrics_from_snr(gamma: np.ndarray) -> LinkMetrics:
-    """Ergodic rate and average-SNR summary of a sample series."""
-    rate = float(np.mean(np.log2(1.0 + gamma)))
+def rate_and_snr_db(gamma: np.ndarray) -> tuple[float, float]:
+    """Ergodic rate (bps/Hz) and average SNR (dB, 10 log10 E{gamma}) of an
+    SNR sample series; the average is -inf when E{gamma} is not positive."""
     mean_gamma = float(np.mean(gamma))
-    with np.errstate(divide="ignore"):
-        avg_db = float(10.0 * np.log10(mean_gamma)) if mean_gamma > 0 else -math.inf
-    return LinkMetrics(ergodic_rate=rate, avg_snr_db=avg_db, mc_samples=int(gamma.size))
-
-
-def ergodic_throughput_mc(
-    stats_direct: LinkStats,
-    stats_ap_irs: LinkStats | None,
-    stats_irs_ue: LinkStats | None,
-    unit: IrsUnit,
-    budget: PowerBudget,
-    n_mc: int,
-    seed,
-) -> LinkMetrics:
-    """Monte Carlo link metrics for one surface placement (or none).
-
-    seed may be an int or a tuple path; a fixed seed gives identical
-    results on every call.
-    """
-    seed_path = (seed,) if isinstance(seed, int) else tuple(seed)
-    series = snr_series(
-        stats_direct,
-        stats_ap_irs,
-        stats_irs_ue,
-        unit.n_elements,
-        budget,
-        amp_power_max=unit.amp_power_max,
-        amp_noise_psd=unit.amp_noise_psd,
-        n_mc=n_mc,
-        seed_path=seed_path,
-        modes=(unit.mode,),
-    )
-    return metrics_from_snr(series[unit.mode])
-
-
-def coverage_indicator(avg_snr_db: float, threshold_db: float) -> int:
-    """1 when the average SNR meets the threshold, else 0."""
-    return 1 if avg_snr_db >= threshold_db else 0
+    avg_db = 10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
+    return float(np.mean(np.log2(1.0 + gamma))), avg_db
 
 
 def fairness_index(rates) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, the value baked into the UMa breakpoint formula
 
@@ -195,7 +194,9 @@ def _ap_average_cached(pattern: ApArrayPattern) -> float:
     theta = np.clip(theta, -90.0 + 1e-12, 90.0)
     g = pattern.peak_gain * ap_pattern_value(pattern, theta)
     rad = np.radians(theta)
-    return 0.5 * float(trapezoid(g * np.cos(rad), rad))
+    y = g * np.cos(rad)
+    # Trapezoid rule, written as scipy.integrate.trapezoid evaluates it.
+    return 0.5 * float(np.sum(np.diff(rad) * (y[1:] + y[:-1]) / 2.0))
 
 
 def pattern_averaged_gain(pattern) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import LinkStats, link_stats
 from .geometry import CandidateSpot, LinkGeometry, Scene, link_geometry, los_clear
-from .link import PowerBudget, snr_series
+from .link import PowerBudget, rate_and_snr_db, snr_series
 from .patterns import ApArrayPattern, ErpModel
 from .seeds import STREAM_DIRECT, STREAM_FADING
 
@@ -644,11 +644,7 @@ def _metric_rows(
                 modes=modes,
             )
             for mode, gamma in series.items():
-                rates[mode][i, mi] = np.mean(np.log2(1.0 + gamma))
-                mean_gamma = float(np.mean(gamma))
-                snr_db[mode][i, mi] = (
-                    10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
-                )
+                rates[mode][i, mi], snr_db[mode][i, mi] = rate_and_snr_db(gamma)
     return {mode: (rates[mode], snr_db[mode]) for mode in modes}
 
 
@@ -673,8 +669,5 @@ def direct_only_metrics(
             seed_path=(master_seed, STREAM_DIRECT, ui),
             modes=("passive",),
         )
-        gamma = series["passive"]
-        rates[ui] = np.mean(np.log2(1.0 + gamma))
-        mean_gamma = float(np.mean(gamma))
-        snr_db[ui] = 10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
+        rates[ui], snr_db[ui] = rate_and_snr_db(series["passive"])
     return rates, snr_db

@@ -20,7 +20,7 @@ from . import __version__
 from .channel import link_stats
 from .config import ConfigError, ScenarioConfig, scenario_fingerprint
 from .geometry import filter_candidates_by_ap_los, generate_candidate_spots, link_geometry
-from .link import snr_series
+from .link import rate_and_snr_db, snr_series
 from .patterns import ErpModel
 from .planner import (
     MetricMatrix,
@@ -159,7 +159,7 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
                     seed_path=(cfg.master_seed, STREAM_FADING, 0, pi),
                     modes=(mode,),
                 )[mode]
-            mean_gamma = float(np.mean(series))
+            rate, avg_db = rate_and_snr_db(series)
             rows.append(
                 {
                     "r_ai_m": float(r_ai),
@@ -167,10 +167,8 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
                     "mode": mode,
                     "n_elements": n_elements,
                     "erp_exponent": q if q is not None else "",
-                    "ergodic_rate_bps_hz": float(np.mean(np.log2(1.0 + series))),
-                    "avg_snr_db": (
-                        10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
-                    ),
+                    "ergodic_rate_bps_hz": rate,
+                    "avg_snr_db": avg_db,
                 }
             )
     return {"meta": header_meta(cfg), "rows": rows}
@@ -182,6 +180,22 @@ def candidate_spots(cfg: ScenarioConfig, scene) -> list:
         scene, cfg.layout.grid_w, cfg.layout.grid_h, cfg.layout.min_mount_height
     )
     return filter_candidates_by_ap_los(raw, scene)
+
+
+def scene_and_spots(cfg: ScenarioConfig, scene=None, spots=None) -> tuple:
+    """The scene and its candidate spots, each built unless passed in.
+
+    Raises ConfigError when the layout has no scene or no spot survives.
+    """
+    if scene is None:
+        scene = build_scene(cfg)
+    if scene is None:
+        raise ConfigError("layout.kind: 'none' has no scene, so no spots")
+    if spots is None:
+        spots = candidate_spots(cfg, scene)
+    if not spots:
+        raise ConfigError("layout: no spots survive AP visibility filtering")
+    return scene, spots
 
 
 def pool_cores() -> int:
@@ -216,9 +230,9 @@ def _fork_pool(workers: int):
         return
     # Imported here: the pool machinery costs tens of ms that serial runs
     # and the other subcommands should not pay at start-up.  Fork, not
-    # spawn: a spawned worker would re-import numpy, scipy and irsplan
-    # (about 1 s on a 2-core VM, as much as two workers save on a 3 s run),
-    # and the run has started no threads of its own when the pool forks.
+    # spawn: a spawned worker would start a new interpreter and re-import
+    # numpy and irsplan (about 0.3 s each on a 2-core VM), and the run has
+    # started no threads of its own when the pool forks.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -286,14 +300,7 @@ def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> di
     pool of worker processes (see worker_count); output bytes do not depend
     on its size.
     """
-    if scene is None:
-        scene = build_scene(cfg)
-    if scene is None:
-        raise ValueError("deployment needs a scene; layout.kind is 'none'")
-    if spots is None:
-        spots = candidate_spots(cfg, scene)
-    if not spots:
-        raise ValueError("no candidate spots survive AP visibility filtering")
+    scene, spots = scene_and_spots(cfg, scene, spots)
     dep = cfg.deploy
     _check_plan_sizes("deploy.splits", dep.splits, len(spots))
     budget = cfg.budget()
@@ -378,14 +385,7 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
     grid and the MC matrices run on a pool of worker processes as in
     run_deployment.
     """
-    if scene is None:
-        scene = build_scene(cfg)
-    if scene is None:
-        raise ValueError("coverage study needs a scene; layout.kind is 'none'")
-    if spots is None:
-        spots = candidate_spots(cfg, scene)
-    if not spots:
-        raise ValueError("no candidate spots survive AP visibility filtering")
+    scene, spots = scene_and_spots(cfg, scene, spots)
     cov = cfg.coverage
     _check_plan_sizes("coverage.num_surfaces", cov.num_surfaces, len(spots))
     budget = cfg.budget()

@@ -12,16 +12,24 @@ The only shared convention is the planner objective expression
 float equality with enumeration, which requires the same reduction order.
 The enumeration itself (visit every subset, keep the first strict
 improvement) shares no code with the solvers.
+
+The link-metric helpers at the end are the one exception: thin wrappers
+that run one surface placement through irsplan's own Monte Carlo kernel
+(``snr_series``) and summarizer (``rate_and_snr_db``), so tests can state
+facts about a single link in one call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, trapezoid
 from scipy.special import i0e
+
+from irsplan.link import rate_and_snr_db, snr_series
 
 
 # --- link-level SNR -------------------------------------------------------
@@ -220,3 +228,52 @@ def segment_hits_box_interior(a, b, min_corner, max_corner, samples=512) -> bool
     pts = a[None, :] + t[:, None] * (b - a)[None, :]
     inside = np.all((pts > mn + 1e-9) & (pts < mx - 1e-9), axis=1)
     return bool(inside.any())
+
+
+# --- link metrics (wrappers over irsplan's kernel) -------------------------
+
+@dataclass(frozen=True)
+class LinkMetrics:
+    """Monte Carlo summary of one link."""
+
+    ergodic_rate: float  # bps/Hz
+    avg_snr_db: float    # 10 log10 E{gamma}
+    mc_samples: int
+
+    def covered(self, threshold_db: float) -> bool:
+        return self.avg_snr_db >= threshold_db
+
+
+def metrics_from_snr(gamma: np.ndarray) -> LinkMetrics:
+    """Ergodic rate and average-SNR summary of a sample series."""
+    rate, avg_db = rate_and_snr_db(gamma)
+    return LinkMetrics(ergodic_rate=rate, avg_snr_db=avg_db, mc_samples=int(gamma.size))
+
+
+def ergodic_throughput_mc(
+    stats_direct, stats_ap_irs, stats_irs_ue, unit, budget, n_mc: int, seed
+) -> LinkMetrics:
+    """Monte Carlo link metrics for one surface placement (or none).
+
+    seed may be an int or a tuple path; a fixed seed gives identical
+    results on every call.
+    """
+    seed_path = (seed,) if isinstance(seed, int) else tuple(seed)
+    series = snr_series(
+        stats_direct,
+        stats_ap_irs,
+        stats_irs_ue,
+        unit.n_elements,
+        budget,
+        amp_power_max=unit.amp_power_max,
+        amp_noise_psd=unit.amp_noise_psd,
+        n_mc=n_mc,
+        seed_path=seed_path,
+        modes=(unit.mode,),
+    )
+    return metrics_from_snr(series[unit.mode])
+
+
+def coverage_indicator(avg_snr_db: float, threshold_db: float) -> int:
+    """1 when the average SNR meets the threshold, else 0."""
+    return 1 if avg_snr_db >= threshold_db else 0

@@ -13,17 +13,21 @@ from irsplan.link import (
     IrsUnit,
     PowerBudget,
     _amp_chunk,
-    coverage_indicator,
-    ergodic_throughput_mc,
     fairness_index,
-    metrics_from_snr,
     optimal_amplification,
     snr_optimal,
     snr_series,
 )
 from irsplan.seeds import LEG_AP_IRS
 
-from oracles import active_snr_at_amplification, aligned_phases, generic_snr
+from oracles import (
+    active_snr_at_amplification,
+    aligned_phases,
+    coverage_indicator,
+    ergodic_throughput_mc,
+    generic_snr,
+    metrics_from_snr,
+)
 
 BUDGET = PowerBudget(
     p_total=0.01,
