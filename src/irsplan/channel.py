@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import link_geometry
 from .patterns import (
     ApArrayPattern,
     ErpModel,
@@ -57,11 +58,6 @@ class LinkStats:
     @property
     def k_tilde(self) -> float:
         return self.g_k * self.k_factor
-
-    @property
-    def mean_power(self) -> float:
-        """E{|h|^2} = g * rho."""
-        return self.g * self.rho
 
 
 def pathloss_uma(
@@ -225,6 +221,40 @@ def link_stats(
     return LinkStats(g=g, k_factor=k, g_k=g_k, rho=rho, e_nlos=e_nlos, los=los)
 
 
+def leg_stats(
+    kind: str,
+    a,
+    b,
+    f_c_ghz: float,
+    los: bool,
+    *,
+    ap_pattern: ApArrayPattern | None = None,
+    erp: ErpModel | None = None,
+    normal=None,
+) -> LinkStats:
+    """LinkStats of one leg from its end points.
+
+    a is the AP ("ap_ue", "ap_irs") or the UE ("irs_ue"); b is the UE or
+    the surface, whose facet normal gives the arrival (or departure) polar
+    angle.  The transmitter is the AP or the surface.
+    """
+    geom = link_geometry(a, b, target_normal=normal)
+    h_tx, h_rx = (b[2], a[2]) if kind == "irs_ue" else (a[2], b[2])
+    return link_stats(
+        kind,
+        dist_3d=geom.dist_3d,
+        dist_2d=geom.dist_2d,
+        h_tx=h_tx,
+        h_rx=h_rx,
+        f_c_ghz=f_c_ghz,
+        los=los,
+        ap_pattern=ap_pattern,
+        erp=erp,
+        depression_deg=geom.depression_deg,
+        arrival_polar_deg=geom.arrival_polar_deg,
+    )
+
+
 def rice_parameters(k_tilde: float) -> tuple[float, float]:
     """Deterministic amplitude nu and Gaussian scale sigma of a unit-power
     Rician amplitude with factor k_tilde (nu^2 + 2 sigma^2 = 1)."""
@@ -253,17 +283,3 @@ def rician_amplitudes(
         return np.full(shape, scale * nu)
     z = rng.standard_normal((*shape, 2))
     return scale * np.hypot(nu + sigma * z[..., 0], sigma * z[..., 1])
-
-
-def sample_fading(
-    k_tilde: float, rho: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw n Rician amplitudes xi with E{xi^2} = rho and factor k_tilde.
-
-    An infinite factor degenerates to the constant sqrt(rho).
-    """
-    if not (rho > 0):
-        raise ValueError("rho must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return rician_amplitudes(k_tilde, rho, rng, (n,))

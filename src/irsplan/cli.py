@@ -10,9 +10,9 @@ coverage      covered-UE ratio vs number of surfaces (CSV)
 pattern-dump  AP array and element pattern curves (CSV)
 stats         fading statistics and metrics of one UE-spot pair (JSON)
 
-Exit codes: 0 on success, 2 on configuration or I/O errors (a worker
-process that died included), 3 when an exact solver hit its node budget
-and returned an incumbent.
+Exit codes: 0 on success, 2 on configuration, I/O or out-of-memory errors
+(a worker process that died included), 3 when an exact solver hit its
+node budget and returned an incumbent.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .runners import (
     run_deployment,
     run_link_sweep,
     scene_and_spots,
-    spots_rows,
 )
 from .seeds import STREAM_FADING
 
@@ -106,23 +105,18 @@ def _cmd_validate(args) -> int:
 
 def _cmd_spots(args) -> int:
     cfg = _load(args)
-    scene, spots = scene_and_spots(cfg)
-    payload = spots_rows(cfg, scene, spots)
+    _, spots = scene_and_spots(cfg)
     rows = [
         {
-            "id": e["id"],
-            "x": e["position"][0],
-            "y": e["position"][1],
-            "z": e["position"][2],
-            "nx": e["facet_normal"][0],
-            "ny": e["facet_normal"][1],
-            "nz": e["facet_normal"][2],
-            "building": e["building"],
-            "face": e["face"],
+            "id": s.id,
+            **dict(zip(("x", "y", "z"), map(float, s.position))),
+            **dict(zip(("nx", "ny", "nz"), map(float, s.facet_normal))),
+            "building": s.building_index,
+            "face": s.face_index,
         }
-        for e in payload["rows"]
+        for s in spots
     ]
-    write_csv(args.out, payload["meta"] | {"num_spots": len(rows)}, rows)
+    write_csv(args.out, header_meta(cfg) | {"num_spots": len(rows)}, rows)
     return EXIT_OK
 
 
@@ -266,7 +260,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,7 +5,7 @@ carrier, 200 kHz user bandwidth, -174 dBm/Hz receiver noise, -160 dBm/Hz
 amplifier noise, a 25 m AP serving 1.5 m UEs, 10 mW AP budget without a
 surface and 5 mW / 5 mW transmit/amplifier split with one.  Powers are
 given in dBm or mW in configs and converted to linear watts once, when the
-derived objects (PowerBudget, IrsUnit, ApArrayPattern) are built.
+derived objects (PowerBudget, ApArrayPattern, ErpModel) are built.
 """
 
 from __future__ import annotations
@@ -13,17 +13,21 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
 
 import yaml
 
-from .link import IrsUnit, PowerBudget
+from .link import PowerBudget
 from .patterns import ApArrayPattern, ErpModel
 
 PRESETS = ("link_sweep", "medium_deploy", "split_1024", "widearea_coverage", "custom")
 SOLVERS = ("greedy", "bnb", "exact")
+
+_VARIANT_RE = re.compile(r"^(active|passive)(\d+)_q(\d+(?:\.\d+)?)$")
 
 
 class ConfigError(ValueError):
@@ -53,7 +57,6 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    mode: str = "active"
     erp_exponent: float = 1.0
     n_elements: int = 256      # per surface where no element split applies
     n_total: int = 1024        # element budget shared by a split deployment
@@ -163,18 +166,34 @@ class ScenarioConfig:
             "layout.grid_h": self.layout.grid_h,
             "layout.ue_height": self.layout.ue_height,
             "ap.height": self.ap.height,
+            "ap.num_elements": self.ap.num_elements,
+            "ap.element_max_gain": self.ap.element_max_gain,
+            "ap.element_spacing_wavelengths": self.ap.element_spacing_wavelengths,
+            "surface.n_elements": self.surface.n_elements,
+            "surface.n_total": self.surface.n_total,
+            "layout.num_ues": self.layout.num_ues,
             "mc.n_mc": self.mc.n_mc,
             "sweep.n_mc": self.sweep.n_mc,
         }
         for path, value in _positive.items():
             if not (value > 0):
                 raise ConfigError(f"{path}: must be positive, got {value!r}")
-        if self.surface.mode not in ("active", "passive"):
-            raise ConfigError("surface.mode: must be 'active' or 'passive'")
+        for path, dbm in (
+            ("rf.noise_psd_dbm_hz", self.rf.noise_psd_dbm_hz),
+            ("surface.amp_noise_psd_dbm_hz", self.surface.amp_noise_psd_dbm_hz),
+        ):
+            if dbm > 3000.0:  # 1e-3 * 10^(dBm/10) overflows a float above ~3082 dBm
+                raise ConfigError(f"{path}: must be <= 3000 dBm, got {dbm!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed: must be >= 0, got {self.master_seed!r}")
         if self.surface.erp_exponent < 0:
             raise ConfigError("surface.erp_exponent: must be >= 0")
-        if self.surface.n_elements < 1 or self.surface.n_total < 1:
-            raise ConfigError("surface element counts must be >= 1")
+        if not (-90.0 < self.ap.tilt_deg <= 90.0):
+            raise ConfigError(f"ap.tilt_deg: must lie in (-90, 90], got {self.ap.tilt_deg!r}")
+        if self.layout.ue_height >= self.ap.height:
+            raise ConfigError("layout.ue_height: UEs must sit below ap.height")
+        if self.layout.ues_xy == ():
+            raise ConfigError("layout.ues_xy: must list at least one UE")
         if self.layout.kind not in ("medium", "wide", "custom", "none"):
             raise ConfigError(f"layout.kind: unknown layout {self.layout.kind!r}")
         if self.layout.kind == "custom":
@@ -182,6 +201,12 @@ class ScenarioConfig:
                 raise ConfigError("layout.area_x/area_y: required for custom layouts")
             if self.layout.buildings is None:
                 raise ConfigError("layout.buildings: required for custom layouts")
+            for path, (lo, hi) in (
+                ("layout.area_x", self.layout.area_x),
+                ("layout.area_y", self.layout.area_y),
+            ):
+                if not lo < hi:
+                    raise ConfigError(f"{path}: bounds must be increasing, got [{lo}, {hi}]")
         if self.layout.min_mount_height < 0:
             raise ConfigError("layout.min_mount_height: must be >= 0")
         lo, hi = self.layout.building_height_range
@@ -219,6 +244,11 @@ class ScenarioConfig:
         for jv in self.coverage.num_surfaces:
             if jv < 1:
                 raise ConfigError("coverage.num_surfaces: entries must be >= 1")
+        for label in self.sweep.variants:
+            try:
+                parse_variant(label)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.variants: {exc}") from exc
 
     # Derived model objects -------------------------------------------------
 
@@ -240,26 +270,26 @@ class ScenarioConfig:
             element_max_gain=self.ap.element_max_gain,
         )
 
-    def erp(self, exponent: float | None = None) -> ErpModel:
-        return ErpModel(self.surface.erp_exponent if exponent is None else exponent)
-
-    def surface_template(
-        self, n_elements: int | None = None, mode: str | None = None
-    ) -> IrsUnit:
-        mode = self.surface.mode if mode is None else mode
-        return IrsUnit(
-            n_elements=self.surface.n_elements if n_elements is None else n_elements,
-            mode=mode,
-            amp_power_max=mw_to_watts(self.surface.amp_power_max_mw),
-            amp_noise_psd=dbm_to_watts(self.surface.amp_noise_psd_dbm_hz),
-            erp=self.erp(),
-        )
+    def erp(self) -> ErpModel:
+        return ErpModel(self.surface.erp_exponent)
 
     def amp_noise_psd_w(self) -> float:
         return dbm_to_watts(self.surface.amp_noise_psd_dbm_hz)
 
     def amp_power_max_w(self) -> float:
         return mw_to_watts(self.surface.amp_power_max_mw)
+
+
+def parse_variant(label: str) -> tuple[str, int, float | None]:
+    """Decode a sweep variant label into (mode, n_elements, erp exponent)."""
+    if label == "ap_only":
+        return "none", 0, None
+    m = _VARIANT_RE.match(label)
+    if not m:
+        raise ValueError(
+            f"unknown sweep variant {label!r}; expected e.g. 'active64_q1' or 'ap_only'"
+        )
+    return m.group(1), int(m.group(2)), float(m.group(3))
 
 
 # Parsing ------------------------------------------------------------------
@@ -270,6 +300,8 @@ def _coerce(value, ftype, path: str):
     if ftype is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # nan, +-inf or an int beyond floats
+            raise ConfigError(f"{path}: must be finite, got {value!r}")
         return float(value)
     if ftype is int:
         if isinstance(value, bool) or not isinstance(value, int):

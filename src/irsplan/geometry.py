@@ -135,20 +135,15 @@ class LinkGeometry:
     """Distances and pattern angles of one link from a to b.
 
     depression_deg is the depression of the ray a->b below the horizontal
-    (positive downward).  departure_offaxis_deg is that depression minus the
-    source boresight tilt (None when no tilt was given).  The arrival angles
-    describe the direction from b back toward a relative to b's facet
-    normal: arrival_polar_deg is the off-normal angle and
-    arrival_azimuth_deg the signed horizontal bearing around the normal
-    (None when no normal was given).
+    (positive downward).  arrival_polar_deg is the angle between b's facet
+    normal and the direction from b back toward a (None when no normal was
+    given).
     """
 
     dist_3d: float
     dist_2d: float
     depression_deg: float
-    departure_offaxis_deg: float | None = None
     arrival_polar_deg: float | None = None
-    arrival_azimuth_deg: float | None = None
 
 
 def _nudged_endpoint(p: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
@@ -205,19 +200,6 @@ def los_clear(a, b, scene: Scene) -> bool:
     return not _segment_blocked(pa, pb, mn, mx)
 
 
-def _arrival_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local (x', z') axes of a facet: z' is the normal, x' horizontal."""
-    z_axis = np.array([0.0, 0.0, 1.0])
-    x_local = np.cross(z_axis, normal)
-    nrm = np.linalg.norm(x_local)
-    if nrm < 1e-12:
-        # Degenerate (vertical normal): any horizontal axis works.
-        x_local = np.array([1.0, 0.0, 0.0])
-    else:
-        x_local = x_local / nrm
-    return x_local, normal
-
-
 def link_geometry(
     a,
     b,
@@ -227,9 +209,9 @@ def link_geometry(
 ) -> LinkGeometry:
     """Distances and antenna angles for the link from a to b.
 
-    Pass source_tilt_deg when a carries the tilted AP array and
-    target_normal when b is a facade-mounted surface; the corresponding
-    angle fields stay None otherwise.
+    Pass target_normal when b is a facade-mounted surface; the polar angle
+    stays None otherwise.  source_tilt_deg is accepted and unused: the AP
+    pattern is evaluated at the depression angle itself.
     """
     pa = _point(a)
     pb = _point(b)
@@ -240,12 +222,7 @@ def link_geometry(
     d2 = float(math.hypot(v[0], v[1]))
     depression = math.degrees(math.atan2(-v[2], d2))
 
-    offaxis = None
-    if source_tilt_deg is not None:
-        offaxis = depression - float(source_tilt_deg)
-
     polar = None
-    azimuth = None
     if target_normal is not None:
         n = _point(target_normal)
         nn = np.linalg.norm(n)
@@ -253,18 +230,14 @@ def link_geometry(
             raise ValueError("target_normal must be nonzero")
         n = n / nn
         u = -v / d3  # direction from b back toward a
-        x_local, z_local = _arrival_frame(n)
-        cos_polar = float(np.clip(np.dot(u, z_local), -1.0, 1.0))
+        cos_polar = float(np.clip(np.dot(u, n), -1.0, 1.0))
         polar = math.degrees(math.acos(cos_polar))
-        azimuth = math.degrees(math.atan2(float(np.dot(u, x_local)), cos_polar))
 
     return LinkGeometry(
         dist_3d=d3,
         dist_2d=d2,
         depression_deg=depression,
-        departure_offaxis_deg=offaxis,
         arrival_polar_deg=polar,
-        arrival_azimuth_deg=azimuth,
     )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkStats, rician_amplitudes
-from .patterns import ErpModel
 from .seeds import CHUNK, LEG_AP_IRS, LEG_DIRECT, LEG_IRS_UE, substream
 
 MODES = ("active", "passive")
@@ -45,44 +44,6 @@ class PowerBudget:
     def noise_power(self) -> float:
         """sigma^2 = N_0 * B, W."""
         return self.noise_psd * self.bandwidth
-
-
-@dataclass(frozen=True)
-class IrsUnit:
-    """One deployed reflecting surface (or a template for one)."""
-
-    n_elements: int
-    mode: str = "active"
-    amp_power_max: float = 0.0  # W, amplifier budget P_A (active only)
-    amp_noise_psd: float = 0.0  # W/Hz, amplifier noise N_v (active only)
-    erp: ErpModel = ErpModel(1.0)
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.n_elements < 0:
-            raise ValueError("n_elements must be >= 0")
-        if self.mode == "active":
-            if not (self.amp_power_max > 0):
-                raise ValueError("active surfaces need a positive amp_power_max")
-            if self.amp_noise_psd < 0:
-                raise ValueError("amp_noise_psd must be >= 0")
-
-
-def optimal_amplification(h_i_amps, unit: IrsUnit, budget: PowerBudget) -> float:
-    """Amplification factor maximizing the SNR under the amplifier budget.
-
-    p = sqrt(P_A / (P_u sum|h_i|^2 + N sigma_v^2)) for an active surface;
-    passive surfaces reflect with unit amplitude.
-    """
-    if unit.mode == "passive":
-        return 1.0
-    h_i = np.asarray(h_i_amps, dtype=float)
-    sigma_v2 = unit.amp_noise_psd * budget.bandwidth
-    t = budget.p_tx_max * float(np.sum(h_i**2)) + h_i.size * sigma_v2
-    if t <= 0.0:
-        raise ValueError("amplification undefined: no incident signal or noise power")
-    return math.sqrt(unit.amp_power_max / t)
 
 
 def snr_from_sums(
@@ -117,32 +78,6 @@ def snr_from_sums(
         den = amp_power_max * sigma_v2 * b + sigma2 * t
         # An amplifier that sees nothing at all leaves only the direct path.
         return np.where(t > 0.0, num / den, budget.p_tx_max * d * d / sigma2)
-
-
-def snr_optimal(h_i_amps, h_r_amps, h_d_amp, unit: IrsUnit, budget: PowerBudget) -> float:
-    """Instantaneous SNR with optimal phases, amplification and power.
-
-    Inputs are channel amplitudes (path loss included): per-element incident
-    and reflected legs plus the direct leg.
-    """
-    h_i = np.atleast_1d(np.asarray(h_i_amps, dtype=float))
-    h_r = np.atleast_1d(np.asarray(h_r_amps, dtype=float))
-    if h_i.shape != h_r.shape:
-        raise ValueError("incident and reflected amplitude vectors must match")
-    d = float(h_d_amp)
-    if d < 0 or np.any(h_i < 0) or np.any(h_r < 0):
-        raise ValueError("amplitudes must be >= 0")
-    gamma = snr_from_sums(
-        unit.mode,
-        h_i.size,
-        float(h_i @ h_r),
-        d,
-        budget,
-        lambda: (float(h_i @ h_i), float(h_r @ h_r)),
-        amp_power_max=unit.amp_power_max,
-        amp_noise_psd=unit.amp_noise_psd,
-    )
-    return float(gamma)
 
 
 def _amp_chunk(

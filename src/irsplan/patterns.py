@@ -24,8 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-SPEED_OF_LIGHT = 3.0e8  # m/s, the value baked into the UMa breakpoint formula
-
 # Step used for numeric pattern averages; small enough that the trapezoid
 # error is far below every tolerance built on top of it.
 _QUAD_STEP_DEG = 0.02
@@ -44,17 +42,6 @@ def _scalar_like(value: np.ndarray, template) -> float | np.ndarray:
     if np.ndim(template) == 0:
         return float(value)
     return value
-
-
-@dataclass(frozen=True)
-class IsotropicPattern:
-    """Direction-independent pattern with a flat gain (default unit gain)."""
-
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if not (self.gain > 0 and math.isfinite(self.gain)):
-            raise ValueError("gain must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -142,13 +129,6 @@ class ApArrayPattern:
         if not (self.element_max_gain > 0):
             raise ValueError("element_max_gain must be positive")
 
-    @classmethod
-    def for_frequency(cls, f_c_ghz: float, **kwargs) -> "ApArrayPattern":
-        """Build the array for a carrier frequency in GHz."""
-        if not (f_c_ghz > 0):
-            raise ValueError("f_c_ghz must be positive")
-        return cls(wavelength=SPEED_OF_LIGHT / (f_c_ghz * 1e9), **kwargs)
-
     @property
     def peak_gain(self) -> float:
         """Transmit gain along the tilted boresight, M * G_e * cos(tilt)^2."""
@@ -202,37 +182,11 @@ def _ap_average_cached(pattern: ApArrayPattern) -> float:
 def pattern_averaged_gain(pattern) -> float:
     """Spherical average (1/4pi) * integral of G*F dOmega.
 
-    Exactly 1.0 for the cos^q element model (that is its normalization) and
-    equal to the flat gain for an isotropic pattern; computed by quadrature
-    for the AP array.
+    Exactly 1.0 for the cos^q element model (that is its normalization);
+    computed by quadrature for the AP array.
     """
     if isinstance(pattern, ErpModel):
         return 1.0
-    if isinstance(pattern, IsotropicPattern):
-        return pattern.gain
     if isinstance(pattern, ApArrayPattern):
         return _ap_average_cached(pattern)
-    raise TypeError(f"unsupported pattern type: {type(pattern).__name__}")
-
-
-def peak_gain(pattern) -> float:
-    """Peak power gain G of any supported pattern, linear."""
-    if isinstance(pattern, ErpModel):
-        return pattern.max_gain
-    if isinstance(pattern, IsotropicPattern):
-        return pattern.gain
-    if isinstance(pattern, ApArrayPattern):
-        return pattern.peak_gain
-    raise TypeError(f"unsupported pattern type: {type(pattern).__name__}")
-
-
-def directional_gain(pattern, theta_deg) -> float | np.ndarray:
-    """Realized gain G * F(theta) along a direction, linear."""
-    if isinstance(pattern, ErpModel):
-        return pattern.max_gain * erp_value(pattern, theta_deg)
-    if isinstance(pattern, IsotropicPattern):
-        val = np.full(np.shape(theta_deg), pattern.gain)
-        return _scalar_like(val, theta_deg)
-    if isinstance(pattern, ApArrayPattern):
-        return pattern.peak_gain * ap_pattern_value(pattern, theta_deg)
     raise TypeError(f"unsupported pattern type: {type(pattern).__name__}")

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkStats, link_stats
-from .geometry import CandidateSpot, LinkGeometry, Scene, link_geometry, los_clear
+from .channel import LinkStats, leg_stats
+from .geometry import CandidateSpot, Scene, los_clear
 from .link import PowerBudget, rate_and_snr_db, snr_series
 from .patterns import ApArrayPattern, ErpModel
 from .seeds import STREAM_DIRECT, STREAM_FADING
@@ -402,14 +402,6 @@ class PlanReport:
     per_ue_rate: tuple[float, ...]
     coverage: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "mean_rate": self.mean_rate,
-            "fairness": self.fairness,
-            "per_ue_rate": list(self.per_ue_rate),
-            "coverage": {f"{t:g}": r for t, r in self.coverage.items()},
-        }
-
 
 def evaluate_plan(
     solution: PlanSolution,
@@ -483,49 +475,29 @@ def link_stats_grid(
     depend on either.
     """
     ap = scene.ap_position
-    tilt = scene.ap_tilt_deg
-    direct = []
-    for ue in scene.ues:
-        geom = link_geometry(ap, ue, source_tilt_deg=tilt)
-        direct.append(
-            link_stats(
-                "ap_ue",
-                dist_3d=geom.dist_3d,
-                dist_2d=geom.dist_2d,
-                h_tx=ap[2],
-                h_rx=ue[2],
-                f_c_ghz=f_c_ghz,
-                los=los_clear(ap, ue, scene),
-                ap_pattern=ap_pattern,
-                depression_deg=geom.depression_deg,
-            )
+    direct = tuple(
+        leg_stats("ap_ue", ap, ue, f_c_ghz, los_clear(ap, ue, scene), ap_pattern=ap_pattern)
+        for ue in scene.ues
+    )
+    ap_irs = tuple(
+        leg_stats(
+            "ap_irs",
+            ap,
+            s.position,
+            f_c_ghz,
+            los_clear(ap, s.position, scene),
+            ap_pattern=ap_pattern,
+            erp=erp,
+            normal=s.facet_normal,
         )
-    ap_irs = []
-    for s in spots:
-        geom = link_geometry(
-            ap, s.position, source_tilt_deg=tilt, target_normal=s.facet_normal
-        )
-        ap_irs.append(
-            link_stats(
-                "ap_irs",
-                dist_3d=geom.dist_3d,
-                dist_2d=geom.dist_2d,
-                h_tx=ap[2],
-                h_rx=s.position[2],
-                f_c_ghz=f_c_ghz,
-                los=los_clear(ap, s.position, scene),
-                ap_pattern=ap_pattern,
-                erp=erp,
-                depression_deg=geom.depression_deg,
-                arrival_polar_deg=geom.arrival_polar_deg,
-            )
-        )
+        for s in spots
+    )
     rows = _row_blocks(scene.num_ues, blocks)
     parts = _map_blocks(
         pool, _irs_ue_rows, [(scene, spots, erp, f_c_ghz, lo, hi) for lo, hi in rows]
     )
     irs_ue = tuple(row for part in parts for row in part)
-    return StatsGrid(direct=tuple(direct), ap_irs=tuple(ap_irs), irs_ue=irs_ue)
+    return StatsGrid(direct=direct, ap_irs=ap_irs, irs_ue=irs_ue)
 
 
 def _irs_ue_rows(
@@ -537,26 +509,21 @@ def _irs_ue_rows(
     hi: int,
 ) -> list[tuple[LinkStats, ...]]:
     """Spot-UE legs of UEs lo..hi-1, one tuple over all spots per UE."""
-    irs_ue = []
-    for ue in scene.ues[lo:hi]:
-        row = []
-        for s in spots:
-            geom = link_geometry(ue, s.position, target_normal=s.facet_normal)
-            row.append(
-                link_stats(
-                    "irs_ue",
-                    dist_3d=geom.dist_3d,
-                    dist_2d=geom.dist_2d,
-                    h_tx=s.position[2],
-                    h_rx=ue[2],
-                    f_c_ghz=f_c_ghz,
-                    los=los_clear(s.position, ue, scene),
-                    erp=erp,
-                    arrival_polar_deg=geom.arrival_polar_deg,
-                )
+    return [
+        tuple(
+            leg_stats(
+                "irs_ue",
+                ue,
+                s.position,
+                f_c_ghz,
+                los_clear(s.position, ue, scene),
+                erp=erp,
+                normal=s.facet_normal,
             )
-        irs_ue.append(tuple(row))
-    return irs_ue
+            for s in spots
+        )
+        for ue in scene.ues[lo:hi]
+    ]
 
 
 def build_metric_matrices(

@@ -48,10 +48,12 @@ def build_scene(cfg: ScenarioConfig) -> Scene | None:
     else:  # custom
         area_x = layout.area_x
         area_y = layout.area_y
-        buildings = tuple(
-            Building((x0, y0, 0.0), (x1, y1, h))
-            for (x0, y0, x1, y1, h) in layout.buildings
-        )
+        buildings = []
+        for i, (x0, y0, x1, y1, h) in enumerate(layout.buildings):
+            try:
+                buildings.append(Building((x0, y0, 0.0), (x1, y1, h)))
+            except ValueError as exc:
+                raise ConfigError(f"layout.buildings[{i}]: {exc}") from exc
     if layout.ues_xy is not None:
         ues = tuple((x, y, layout.ue_height) for x, y in layout.ues_xy)
     else:
@@ -68,11 +70,16 @@ def build_scene(cfg: ScenarioConfig) -> Scene | None:
             )
         except RuntimeError as exc:  # the streets cannot hold that many UEs
             raise ConfigError(f"layout.num_ues: {exc}") from exc
-    return Scene(
-        ap_position=(0.0, 0.0, cfg.ap.height),
-        ap_tilt_deg=cfg.ap.tilt_deg,
-        buildings=buildings,
-        ues=ues,
-        area_x=area_x,
-        area_y=area_y,
-    )
+    try:
+        return Scene(
+            ap_position=(0.0, 0.0, cfg.ap.height),
+            ap_tilt_deg=cfg.ap.tilt_deg,
+            buildings=tuple(buildings),
+            ues=ues,
+            area_x=area_x,
+            area_y=area_y,
+        )
+    except ValueError as exc:
+        # ScenarioConfig checks the area, the tilt and the UE height, so
+        # what is left to reject is a listed UE off the streets.
+        raise ConfigError(f"layout.ues_xy: {exc}") from exc

@@ -12,14 +12,13 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import re
 
 import numpy as np
 
 from . import __version__
-from .channel import link_stats
-from .config import ConfigError, ScenarioConfig, scenario_fingerprint
-from .geometry import filter_candidates_by_ap_los, generate_candidate_spots, link_geometry
+from .channel import leg_stats
+from .config import ConfigError, ScenarioConfig, parse_variant, scenario_fingerprint
+from .geometry import filter_candidates_by_ap_los, generate_candidate_spots
 from .link import rate_and_snr_db, snr_series
 from .patterns import ErpModel
 from .planner import (
@@ -36,21 +35,6 @@ from .planner import (
 )
 from .presets import build_scene
 from .seeds import STREAM_DIRECT, STREAM_FADING
-
-_VARIANT_RE = re.compile(r"^(active|passive)(\d+)_q(\d+(?:\.\d+)?)$")
-
-
-def parse_variant(label: str) -> tuple[str, int, float | None]:
-    """Decode a sweep variant label into (mode, n_elements, erp exponent)."""
-    if label == "ap_only":
-        return "none", 0, None
-    m = _VARIANT_RE.match(label)
-    if not m:
-        raise ValueError(
-            f"unknown sweep variant {label!r}; expected e.g. 'active64_q1' or 'ap_only'"
-        )
-    return m.group(1), int(m.group(2)), float(m.group(3))
-
 
 def _solve(problem: PlanProblem, solver: str, node_budget: int) -> PlanSolution:
     if solver == "greedy":
@@ -87,28 +71,13 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
     ap = (0.0, 0.0, cfg.ap.height)
     ue = (sweep.ue_x, sweep.ue_y, cfg.layout.ue_height)
     normal = (0.0, -1.0, 0.0)
-
-    geom_d = link_geometry(ap, ue, source_tilt_deg=cfg.ap.tilt_deg)
-    stats_d = link_stats(
-        "ap_ue",
-        dist_3d=geom_d.dist_3d,
-        dist_2d=geom_d.dist_2d,
-        h_tx=ap[2],
-        h_rx=ue[2],
-        f_c_ghz=cfg.rf.f_c_ghz,
-        los=False,
-        ap_pattern=ap_pattern,
-        depression_deg=geom_d.depression_deg,
-    )
+    f_c = cfg.rf.f_c_ghz
+    stats_d = leg_stats("ap_ue", ap, ue, f_c, False, ap_pattern=ap_pattern)
 
     variants = [(label, *parse_variant(label)) for label in sweep.variants]
     rows = []
     for pi, r_ai in enumerate(sweep.r_ai_m):
         spot = (float(r_ai), sweep.irs_y, sweep.irs_z)
-        geom_i = link_geometry(
-            ap, spot, source_tilt_deg=cfg.ap.tilt_deg, target_normal=normal
-        )
-        geom_r = link_geometry(ue, spot, target_normal=normal)
         for label, mode, n_elements, q in variants:
             if mode == "none":
                 series = snr_series(
@@ -123,30 +92,10 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
                 )["passive"]
             else:
                 erp = ErpModel(q)
-                stats_i = link_stats(
-                    "ap_irs",
-                    dist_3d=geom_i.dist_3d,
-                    dist_2d=geom_i.dist_2d,
-                    h_tx=ap[2],
-                    h_rx=spot[2],
-                    f_c_ghz=cfg.rf.f_c_ghz,
-                    los=True,
-                    ap_pattern=ap_pattern,
-                    erp=erp,
-                    depression_deg=geom_i.depression_deg,
-                    arrival_polar_deg=geom_i.arrival_polar_deg,
+                stats_i = leg_stats(
+                    "ap_irs", ap, spot, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
                 )
-                stats_r = link_stats(
-                    "irs_ue",
-                    dist_3d=geom_r.dist_3d,
-                    dist_2d=geom_r.dist_2d,
-                    h_tx=spot[2],
-                    h_rx=ue[2],
-                    f_c_ghz=cfg.rf.f_c_ghz,
-                    los=True,
-                    erp=erp,
-                    arrival_polar_deg=geom_r.arrival_polar_deg,
-                )
+                stats_r = leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal)
                 series = snr_series(
                     stats_d,
                     stats_i,
@@ -290,22 +239,12 @@ def _plan_entry(
     }
 
 
-def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict:
-    """Plan deployments that split an element budget across 1..k surfaces.
-
-    For every split k the element budget divides evenly over k surfaces
-    (J = k placements) and the plan maximizing the configured objective is
-    solved per surface mode.  Precomputed scene/spots/stats can be passed in
-    to share work across runs.  The stats grid and the MC matrices run on a
-    pool of worker processes (see worker_count); output bytes do not depend
-    on its size.
-    """
-    scene, spots = scene_and_spots(cfg, scene, spots)
-    dep = cfg.deploy
-    _check_plan_sizes("deploy.splits", dep.splits, len(spots))
+def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, grid, element_counts, modes):
+    """MC metric matrices per element count and the no-surface baseline
+    (rates, avg SNR dB), built with the stats grid (unless passed in) on
+    one pool of worker processes (see worker_count); the results do not
+    depend on its size."""
     budget = cfg.budget()
-    results = []
-    worst = "proven_optimal"
     workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
     with _fork_pool(workers) as pool:
         if grid is None:
@@ -318,49 +257,65 @@ def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> di
                 pool=pool,
                 blocks=workers,
             )
-        baseline_rates, baseline_snr = direct_only_metrics(
-            grid.direct, budget, cfg.mc.n_mc, cfg.master_seed
-        )
-        for split in dep.splits:
-            n_per = cfg.surface.n_total // split
-            matrices = build_metric_matrices(
+        matrices = {
+            n: build_metric_matrices(
                 grid,
                 budget,
-                n_elements=n_per,
+                n_elements=n,
                 amp_power_max=cfg.amp_power_max_w(),
                 amp_noise_psd=cfg.amp_noise_psd_w(),
                 n_mc=cfg.mc.n_mc,
                 master_seed=cfg.master_seed,
-                modes=dep.modes,
+                modes=modes,
                 pool=pool,
                 blocks=workers,
             )
-            for mode in dep.modes:
-                problem = PlanProblem(
-                    matrix=matrices[mode],
-                    num_surfaces=split,
-                    objective=dep.objective,
-                    threshold_db=dep.threshold_db,
+            for n in dict.fromkeys(element_counts)
+        }
+    baseline = direct_only_metrics(grid.direct, budget, cfg.mc.n_mc, cfg.master_seed)
+    return matrices, baseline
+
+
+def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict:
+    """Plan deployments that split an element budget across 1..k surfaces.
+
+    For every split k the element budget divides evenly over k surfaces
+    (J = k placements) and the plan maximizing the configured objective is
+    solved per surface mode.  Precomputed scene/spots/stats can be passed in
+    to share work across runs.
+    """
+    scene, spots = scene_and_spots(cfg, scene, spots)
+    dep = cfg.deploy
+    _check_plan_sizes("deploy.splits", dep.splits, len(spots))
+    n_total = cfg.surface.n_total
+    matrices, (baseline_rates, baseline_snr) = _grid_and_matrices(
+        cfg, scene, spots, grid, [n_total // split for split in dep.splits], dep.modes
+    )
+    results = []
+    worst = "proven_optimal"
+    for split in dep.splits:
+        n_per = n_total // split
+        for mode in dep.modes:
+            matrix = matrices[n_per][mode]
+            problem = PlanProblem(
+                matrix=matrix,
+                num_surfaces=split,
+                objective=dep.objective,
+                threshold_db=dep.threshold_db,
+            )
+            solution = _solve(problem, dep.solver, dep.node_budget)
+            if solution.optimality != "proven_optimal" and dep.solver != "greedy":
+                worst = "heuristic"
+            results.append(
+                _plan_entry(
+                    mode, split, n_per, solution, matrix, spots, dep.report_thresholds_db
                 )
-                solution = _solve(problem, dep.solver, dep.node_budget)
-                if solution.optimality != "proven_optimal" and dep.solver != "greedy":
-                    worst = "heuristic"
-                results.append(
-                    _plan_entry(
-                        mode,
-                        split,
-                        n_per,
-                        solution,
-                        matrices[mode],
-                        spots,
-                        dep.report_thresholds_db,
-                    )
-                )
+            )
     return {
         "meta": header_meta(cfg),
         "num_spots": len(spots),
         "num_ues": scene.num_ues,
-        "n_total": cfg.surface.n_total,
+        "n_total": n_total,
         "objective": dep.objective,
         "no_surface": {
             "mean_rate_bps_hz": float(baseline_rates.mean()),
@@ -381,39 +336,13 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
     split); the planner maximizes the number of UEs whose average SNR meets
     the threshold.  For heuristic solvers each J is additionally warm
     started with the previous J's choice plus its best single extension, so
-    the reported ratios are nondecreasing in J by construction.  The stats
-    grid and the MC matrices run on a pool of worker processes as in
-    run_deployment.
+    the reported ratios are nondecreasing in J by construction.
     """
     scene, spots = scene_and_spots(cfg, scene, spots)
     cov = cfg.coverage
     _check_plan_sizes("coverage.num_surfaces", cov.num_surfaces, len(spots))
-    budget = cfg.budget()
-    workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
-    with _fork_pool(workers) as pool:
-        if grid is None:
-            grid = link_stats_grid(
-                scene,
-                spots,
-                cfg.ap_pattern(),
-                cfg.erp(),
-                cfg.rf.f_c_ghz,
-                pool=pool,
-                blocks=workers,
-            )
-        matrices = build_metric_matrices(
-            grid,
-            budget,
-            n_elements=cfg.surface.n_elements,
-            amp_power_max=cfg.amp_power_max_w(),
-            amp_noise_psd=cfg.amp_noise_psd_w(),
-            n_mc=cfg.mc.n_mc,
-            master_seed=cfg.master_seed,
-            modes=cov.modes,
-            pool=pool,
-            blocks=workers,
-        )
-    _, baseline_snr = direct_only_metrics(grid.direct, budget, cfg.mc.n_mc, cfg.master_seed)
+    n = cfg.surface.n_elements
+    matrices, (_, baseline_snr) = _grid_and_matrices(cfg, scene, spots, grid, [n], cov.modes)
     rows = []
     exhausted = False
     for threshold in cov.thresholds_db:
@@ -430,7 +359,7 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
             prev: PlanSolution | None = None
             for j in sorted(cov.num_surfaces):
                 problem = PlanProblem(
-                    matrix=matrices[mode],
+                    matrix=matrices[n][mode],
                     num_surfaces=j,
                     objective="coverage_count",
                     threshold_db=float(threshold),
@@ -480,12 +409,3 @@ def _extend_plan(problem: PlanProblem, prev: PlanSolution) -> PlanSolution:
                 best_c = c
         chosen.append(best_c)
     return _solution(v, chosen, "heuristic", {"method": "warm_extension"})
-
-
-def spots_rows(cfg: ScenarioConfig, scene, spots) -> dict:
-    """Candidate-spot listing for the spots subcommand."""
-    return {
-        "meta": header_meta(cfg),
-        "num_ues": scene.num_ues,
-        "rows": [_spot_entry(s) for s in spots],
-    }

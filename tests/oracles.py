@@ -13,10 +13,15 @@ float equality with enumeration, which requires the same reduction order.
 The enumeration itself (visit every subset, keep the first strict
 improvement) shares no code with the solvers.
 
-The link-metric helpers at the end are the one exception: thin wrappers
-that run one surface placement through irsplan's own Monte Carlo kernel
-(``snr_series``) and summarizer (``rate_and_snr_db``), so tests can state
-facts about a single link in one call.
+The scalar twins and the link-metric helpers at the end are the two
+exceptions.  The twins (``sample_fading``, ``IrsUnit``,
+``optimal_amplification``, ``snr_optimal``) state one draw series or one
+fading realization in scalar terms on top of irsplan's own Rician sampler
+(``rician_amplitudes``) and SNR closed form (``snr_from_sums``), so checks
+written against them exercise the code the deployments run.  The helpers
+are thin wrappers that run one surface placement through irsplan's Monte
+Carlo kernel (``snr_series``) and summarizer (``rate_and_snr_db``), so
+tests can state facts about a single link in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import numpy as np
 from scipy.integrate import quad, trapezoid
 from scipy.special import i0e
 
-from irsplan.link import rate_and_snr_db, snr_series
+from irsplan.channel import rician_amplitudes
+from irsplan.link import MODES, rate_and_snr_db, snr_from_sums, snr_series
+from irsplan.patterns import ErpModel
 
 
 # --- link-level SNR -------------------------------------------------------
@@ -228,6 +235,84 @@ def segment_hits_box_interior(a, b, min_corner, max_corner, samples=512) -> bool
     pts = a[None, :] + t[:, None] * (b - a)[None, :]
     inside = np.all((pts > mn + 1e-9) & (pts < mx - 1e-9), axis=1)
     return bool(inside.any())
+
+
+# --- scalar twins (on irsplan's sampler and closed form) ------------------
+
+def sample_fading(k_tilde: float, rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n Rician amplitudes xi with E{xi^2} = rho and factor k_tilde.
+
+    An infinite factor degenerates to the constant sqrt(rho).
+    """
+    if not (rho > 0):
+        raise ValueError("rho must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return rician_amplitudes(k_tilde, rho, rng, (n,))
+
+
+@dataclass(frozen=True)
+class IrsUnit:
+    """One reflecting surface: element count, mode and amplifier figures."""
+
+    n_elements: int
+    mode: str = "active"
+    amp_power_max: float = 0.0  # W, amplifier budget P_A (active only)
+    amp_noise_psd: float = 0.0  # W/Hz, amplifier noise N_v (active only)
+    erp: ErpModel = ErpModel(1.0)
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if self.n_elements < 0:
+            raise ValueError("n_elements must be >= 0")
+        if self.mode == "active":
+            if not (self.amp_power_max > 0):
+                raise ValueError("active surfaces need a positive amp_power_max")
+            if self.amp_noise_psd < 0:
+                raise ValueError("amp_noise_psd must be >= 0")
+
+
+def optimal_amplification(h_i_amps, unit: IrsUnit, budget) -> float:
+    """Amplification factor maximizing the SNR under the amplifier budget.
+
+    p = sqrt(P_A / (P_u sum|h_i|^2 + N sigma_v^2)) for an active surface;
+    passive surfaces reflect with unit amplitude.
+    """
+    if unit.mode == "passive":
+        return 1.0
+    h_i = np.asarray(h_i_amps, dtype=float)
+    sigma_v2 = unit.amp_noise_psd * budget.bandwidth
+    t = budget.p_tx_max * float(np.sum(h_i**2)) + h_i.size * sigma_v2
+    if t <= 0.0:
+        raise ValueError("amplification undefined: no incident signal or noise power")
+    return math.sqrt(unit.amp_power_max / t)
+
+
+def snr_optimal(h_i_amps, h_r_amps, h_d_amp, unit: IrsUnit, budget) -> float:
+    """Instantaneous SNR with optimal phases, amplification and power.
+
+    Inputs are channel amplitudes (path loss included): per-element incident
+    and reflected legs plus the direct leg.
+    """
+    h_i = np.atleast_1d(np.asarray(h_i_amps, dtype=float))
+    h_r = np.atleast_1d(np.asarray(h_r_amps, dtype=float))
+    if h_i.shape != h_r.shape:
+        raise ValueError("incident and reflected amplitude vectors must match")
+    d = float(h_d_amp)
+    if d < 0 or np.any(h_i < 0) or np.any(h_r < 0):
+        raise ValueError("amplitudes must be >= 0")
+    gamma = snr_from_sums(
+        unit.mode,
+        h_i.size,
+        float(h_i @ h_r),
+        d,
+        budget,
+        lambda: (float(h_i @ h_i), float(h_r @ h_r)),
+        amp_power_max=unit.amp_power_max,
+        amp_noise_psd=unit.amp_noise_psd,
+    )
+    return float(gamma)
 
 
 # --- link metrics (wrappers over irsplan's kernel) -------------------------

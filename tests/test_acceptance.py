@@ -20,14 +20,8 @@ import pytest
 import yaml
 from scipy.integrate import quad
 
-from irsplan.channel import (
-    adjust_stats_ap_irs,
-    adjust_stats_ap_ue,
-    adjust_stats_irs_ue,
-    sample_fading,
-)
+from irsplan.channel import adjust_stats_ap_irs, adjust_stats_ap_ue, adjust_stats_irs_ue
 from irsplan.config import CoverageConfig, ScenarioConfig, experiment_preset
-from irsplan.link import IrsUnit, optimal_amplification, snr_optimal
 from irsplan.patterns import ApArrayPattern, ErpModel, erp_gain_from_exponent, erp_value
 from irsplan.planner import (
     MetricMatrix,
@@ -42,7 +36,15 @@ from irsplan.planner import (
 from irsplan.presets import build_scene
 from irsplan.runners import candidate_spots, run_coverage, run_link_sweep
 
-from oracles import active_snr_at_amplification, brute_force_plan, generic_snr
+from oracles import (
+    IrsUnit,
+    active_snr_at_amplification,
+    brute_force_plan,
+    generic_snr,
+    optimal_amplification,
+    sample_fading,
+    snr_optimal,
+)
 
 BUDGET = ScenarioConfig().budget()
 
@@ -182,7 +184,7 @@ def test_criterion_03_isotropic_recovery():
 def test_criterion_04_phase_and_amplification_optimality():
     t0 = time.perf_counter()
     cfg = ScenarioConfig()
-    unit = cfg.surface_template(n_elements=16)
+    unit = IrsUnit(16, "active", cfg.amp_power_max_w(), cfg.amp_noise_psd_w(), cfg.erp())
     sigma2 = BUDGET.noise_power
     sigma_v2 = cfg.amp_noise_psd_w() * BUDGET.bandwidth
     rng = np.random.default_rng(2026)

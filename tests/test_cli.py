@@ -74,6 +74,50 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "rf.nope" in capsys.readouterr().err
 
 
+def _with(override: dict, base: dict = TINY) -> dict:
+    """base with override merged in, section by section."""
+    out = {**base}
+    for key, value in override.items():
+        out[key] = {**base.get(key, {}), **value} if isinstance(value, dict) else value
+    return out
+
+
+@pytest.mark.parametrize(
+    "override, extra, field",
+    [
+        ({"master_seed": -1}, [], "master_seed"),
+        ({}, ["--seed", "-1"], "master_seed"),
+        ({"ap": {"tilt_deg": 95.0}}, [], "ap.tilt_deg"),
+        ({"ap": {"num_elements": 0}}, [], "ap.num_elements"),
+        ({"ap": {"element_max_gain": 0.0}}, [], "ap.element_max_gain"),
+        ({"ap": {"element_spacing_wavelengths": 0.0}}, [], "ap.element_spacing_wavelengths"),
+        ({"layout": {"num_ues": -3, "ues_xy": None}}, [], "layout.num_ues"),
+        ({"layout": {"num_ues": 0, "ues_xy": None}}, [], "layout.num_ues"),
+        ({"layout": {"ues_xy": []}}, [], "layout.ues_xy"),
+        ({"layout": {"buildings": [[40.0, -20.0, 20.0, 20.0, 15.0]]}}, [], "layout.buildings[0]"),
+        ({"layout": {"area_x": [60.0, -60.0]}}, [], "layout.area_x"),
+        ({"layout": {"ues_xy": [[30.0, 0.0]]}}, [], "layout.ues_xy"),   # inside the building
+        ({"layout": {"ues_xy": [[90.0, 0.0]]}}, [], "layout.ues_xy"),   # outside the area
+        ({"layout": {"ue_height": 30.0}}, [], "layout.ue_height"),      # above the AP
+        ({"sweep": {"variants": ["foo"]}}, [], "sweep.variants"),
+        ({"rf": {"noise_psd_dbm_hz": 4000.0}}, [], "rf.noise_psd_dbm_hz"),  # overflows watts
+    ],
+)
+def test_bad_model_inputs_name_their_field(tmp_path, capsys, override, extra, field):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_with(override)), encoding="utf-8")
+    assert main(["deploy", "-c", str(path), "-o", str(tmp_path / "o"), *extra]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_unallocatable_sizes_are_an_error_line(tmp_path, capsys):
+    # numpy refuses 10**13 draws per mode before allocating any of them
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(_with({"mc": {"n_mc": 10**13}})), encoding="utf-8")
+    assert main(["coverage", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_validate_writes_normalized_config(tiny_cfg, tmp_path):
     out = tmp_path / "v.json"
     assert main(["validate", "-c", tiny_cfg, "-o", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Configuration parsing, validation, derived objects, and canned scenes."""
 
 import dataclasses
+import re
 
 import pytest
 import yaml
@@ -43,7 +44,6 @@ def test_default_scenario_values():
     assert cfg.rf.noise_psd_dbm_hz == -174.0
     assert cfg.power.p_total_mw == 10.0
     assert cfg.power.p_tx_max_mw == 5.0
-    assert cfg.surface.mode == "active"
     assert cfg.surface.erp_exponent == 1.0
     assert cfg.surface.amp_power_max_mw == 5.0
     assert cfg.surface.amp_noise_psd_dbm_hz == -160.0
@@ -83,14 +83,11 @@ def test_derived_ap_pattern():
 
 def test_derived_surface_template():
     cfg = ScenarioConfig()
-    unit = cfg.surface_template()
-    assert unit.n_elements == 256 and unit.mode == "active"
-    assert unit.amp_power_max == 0.005
-    assert unit.amp_noise_psd == 10.0 ** (-16.0) * 1e-3
-    assert unit.erp.exponent == 1.0
-    passive = cfg.surface_template(n_elements=64, mode="passive")
-    assert passive.n_elements == 64 and passive.mode == "passive"
-    assert cfg.erp(3.0).exponent == 3.0
+    assert cfg.surface.n_elements == 256
+    assert cfg.amp_power_max_w() == 0.005
+    assert cfg.amp_noise_psd_w() == 10.0 ** (-16.0) * 1e-3
+    assert cfg.erp().exponent == 1.0
+    assert ScenarioConfig(surface=SurfaceConfig(erp_exponent=3.0)).erp().exponent == 3.0
 
 
 # --- round trips and YAML ---------------------------------------------------
@@ -110,7 +107,7 @@ def test_load_config_yaml(tmp_path):
         "preset": "custom",
         "master_seed": 12,
         "rf": {"f_c_ghz": 3.5},
-        "surface": {"mode": "passive", "n_elements": 64},
+        "surface": {"erp_exponent": 3.0, "n_elements": 64},
     }
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -118,7 +115,7 @@ def test_load_config_yaml(tmp_path):
     assert cfg.master_seed == 12
     assert cfg.rf.f_c_ghz == 3.5
     assert cfg.rf.bandwidth_hz == 200e3  # untouched default survives
-    assert cfg.surface.mode == "passive" and cfg.surface.n_elements == 64
+    assert cfg.surface.erp_exponent == 3.0 and cfg.surface.n_elements == 64
     assert cfg == config_from_dict(raw)
 
 
@@ -160,8 +157,9 @@ def test_enum_fields_are_validated():
         ScenarioConfig(deploy=DeployConfig(modes=("hybrid",)))
     with pytest.raises(ConfigError, match="objective"):
         ScenarioConfig(deploy=DeployConfig(objective="max_rate"))
-    with pytest.raises(ConfigError, match="surface.mode"):
-        ScenarioConfig(surface=SurfaceConfig(mode="hybrid"))
+    # surface.mode was read by nothing and is gone from the schema
+    with pytest.raises(ConfigError, match="surface.mode: unknown field"):
+        config_from_dict({"surface": {"mode": "active"}})
 
 
 def test_cross_field_constraints():
@@ -179,6 +177,24 @@ def test_cross_field_constraints():
         ScenarioConfig(mc=dataclasses.replace(ScenarioConfig().mc, n_mc=0))
     with pytest.raises(ConfigError, match="bandwidth"):
         config_from_dict({"rf": {"bandwidth_hz": -1.0}})
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"coverage": {"thresholds_db": [float("nan")]}}, "coverage.thresholds_db[0]"),
+        ({"deploy": {"threshold_db": float("nan"), "objective": "coverage_count"}},
+         "deploy.threshold_db"),
+        ({"layout": {"building_height_range": [12.0, float("inf")]}},
+         "layout.building_height_range[1]"),
+        ({"rf": {"noise_psd_dbm_hz": float("inf")}}, "rf.noise_psd_dbm_hz"),
+        ({"ap": {"tilt_deg": -float("inf")}}, "ap.tilt_deg"),
+        ({"sweep": {"ue_x": 10**400}}, "sweep.ue_x"),  # an int no float can hold
+    ],
+)
+def test_non_finite_numbers_are_rejected(data, field):
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: must be finite")):
+        config_from_dict(data)
 
 
 # --- fingerprint ------------------------------------------------------------

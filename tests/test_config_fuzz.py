@@ -1,0 +1,67 @@
+"""Fuzzed configs: `validate` and `spots` end in exit 0 or 2, never a traceback.
+
+Each example starts from the full config of configs/tiny_custom.yaml and
+replaces one to three sections, fields or list entries with a wrong type,
+a negative number, zero, nan, +-inf, or (for a list) a list one entry too
+short or too long.
+
+The strategy never draws a positive number below a value it replaces, so
+layout.grid_w and layout.grid_h stay at tiny_custom's 10 m and 5 m or
+become invalid.  A positive grid step far below that is a known gap: at
+grid_w = 1e-9 m generate_candidate_spots enumerates ~1e10 facade cells.
+"""
+
+import copy
+import math
+import os
+from pathlib import Path
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irsplan.cli import main
+from irsplan.config import config_to_dict, load_config
+
+TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_custom.yaml"
+BASE = config_to_dict(load_config(str(TINY)))
+
+WRONG = ["x", True, None, {}, -1, -2.5, 0, 0.0, math.nan, math.inf, -math.inf]
+
+
+def _paths(node, path=()):
+    """Key paths of every section, field and list entry under node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*path, key))
+
+
+PATHS = list(_paths(BASE))
+
+
+@st.composite
+def broken_configs(draw):
+    cfg = copy.deepcopy(BASE)
+    done = []
+    for path in draw(st.lists(st.sampled_from(PATHS), min_size=1, max_size=3)):
+        if any(path[: len(p)] == p for p in done):
+            continue  # inside a part an earlier replacement already replaced
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        lengths = [old[:-1], old + old[-1:]] if isinstance(old, list) and old else []
+        parent[path[-1]] = draw(st.sampled_from(WRONG + lengths))
+        done.append(path)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=broken_configs())
+def test_broken_configs_exit_0_or_2(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    for command in ("validate", "spots"):
+        assert main([command, "-c", str(path), "-o", os.devnull]) in (0, 2)

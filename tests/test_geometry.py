@@ -171,7 +171,6 @@ def test_link_geometry_vertical_drop():
     assert_allclose(geom.dist_3d, 23.5, rtol=1e-15)
     assert geom.dist_2d == 0.0
     assert_allclose(geom.depression_deg, 90.0, rtol=1e-15)
-    assert geom.departure_offaxis_deg is None
     assert geom.arrival_polar_deg is None
 
 
@@ -181,31 +180,9 @@ def test_link_geometry_facade_arrival_angles():
     )
     hand = math.degrees(math.atan2(15.0, 50.0))
     assert_allclose(geom.arrival_polar_deg, hand, rtol=1e-12)
-    assert_allclose(geom.arrival_azimuth_deg, 0.0, atol=1e-12)
     assert_allclose(geom.depression_deg, hand, rtol=1e-12)
-    assert_allclose(geom.departure_offaxis_deg, hand - 10.0, rtol=1e-12)
     assert_allclose(geom.dist_3d, math.hypot(50.0, 15.0), rtol=1e-15)
     assert_allclose(geom.dist_2d, 50.0, rtol=1e-15)
-
-
-def test_link_geometry_aligned_boresight_has_zero_offaxis():
-    b = (80.0, 0.0, 1.5)
-    depression = link_geometry(AP, b).depression_deg
-    geom = link_geometry(AP, b, source_tilt_deg=depression)
-    assert geom.departure_offaxis_deg == 0.0
-
-
-def test_link_geometry_azimuth_sign():
-    # sources displaced symmetrically along +-y land at opposite bearings
-    # in the facet frame, a quarter turn off the normal
-    geom_pos = link_geometry(
-        (50.0, 30.0, 10.0), (50.0, 0.0, 10.0), target_normal=(-1.0, 0.0, 0.0)
-    )
-    geom_neg = link_geometry(
-        (50.0, -30.0, 10.0), (50.0, 0.0, 10.0), target_normal=(-1.0, 0.0, 0.0)
-    )
-    assert geom_pos.arrival_azimuth_deg == -geom_neg.arrival_azimuth_deg
-    assert abs(abs(geom_pos.arrival_azimuth_deg) - 90.0) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,24 +9,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from irsplan.channel import LinkStats
-from irsplan.link import (
-    IrsUnit,
-    PowerBudget,
-    _amp_chunk,
-    fairness_index,
-    optimal_amplification,
-    snr_optimal,
-    snr_series,
-)
+from irsplan.link import PowerBudget, _amp_chunk, fairness_index, snr_series
 from irsplan.seeds import LEG_AP_IRS
 
 from oracles import (
+    IrsUnit,
     active_snr_at_amplification,
     aligned_phases,
     coverage_indicator,
     ergodic_throughput_mc,
     generic_snr,
     metrics_from_snr,
+    optimal_amplification,
+    snr_optimal,
 )
 
 BUDGET = PowerBudget(

@@ -11,13 +11,10 @@ from numpy.testing import assert_allclose
 from irsplan.patterns import (
     ApArrayPattern,
     ErpModel,
-    IsotropicPattern,
     ap_pattern_value,
-    directional_gain,
     erp_gain_from_exponent,
     erp_value,
     pattern_averaged_gain,
-    peak_gain,
 )
 
 from oracles import erp_sphere_average, ula_elevation_average, ula_gain
@@ -174,23 +171,13 @@ def test_ap_array_validation():
         default_array(tilt_deg=-90.0)
     with pytest.raises(ValueError):
         default_array(element_max_gain=0.0)
-    with pytest.raises(ValueError):
-        ApArrayPattern.for_frequency(0.0)
-
-
-def test_for_frequency_builds_half_wave_spacing():
-    ap = ApArrayPattern.for_frequency(2.0)
-    assert_allclose(ap.wavelength, 0.15, rtol=1e-15)
-    assert_allclose(ap.element_spacing, 0.075, rtol=1e-15)
 
 
 # --- averaged gains ---------------------------------------------------------
 
-def test_averaged_gain_of_element_and_isotropic():
+def test_averaged_gain_of_element():
     assert pattern_averaged_gain(ErpModel(1.0)) == 1.0
     assert pattern_averaged_gain(ErpModel(5.0)) == 1.0
-    assert pattern_averaged_gain(IsotropicPattern()) == 1.0
-    assert pattern_averaged_gain(IsotropicPattern(gain=2.5)) == 2.5
 
 
 def test_averaged_gain_of_default_array():
@@ -211,17 +198,3 @@ def test_averaged_gain_of_single_dipole():
 def test_averaged_gain_rejects_unknown_pattern():
     with pytest.raises(TypeError):
         pattern_averaged_gain(object())
-    with pytest.raises(TypeError):
-        peak_gain("not a pattern")
-    with pytest.raises(TypeError):
-        directional_gain(3.14, 0.0)
-
-
-def test_directional_gain_dispatch():
-    assert_allclose(directional_gain(ErpModel(1.0), 60.0), 2.0, rtol=1e-12)
-    assert directional_gain(IsotropicPattern(gain=1.3), 42.0) == 1.3
-    ap = default_array()
-    assert_allclose(directional_gain(ap, 10.0), ap.peak_gain, rtol=1e-15)
-    assert peak_gain(ErpModel(1.0)) == 4.0
-    assert peak_gain(IsotropicPattern(gain=0.5)) == 0.5
-    assert peak_gain(ap) == ap.peak_gain

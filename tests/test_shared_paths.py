@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import irsplan
-from irsplan.channel import LinkStats, sample_fading
+from irsplan.channel import LinkStats
 from irsplan.cli import main
 from irsplan.geometry import scatter_street_points
 from irsplan.link import PowerBudget, _amp_chunk, snr_from_sums
 from irsplan.seeds import LEG_AP_IRS, LEG_IRS_UE, substream
+
+from oracles import sample_fading
 
 BUDGET = PowerBudget(p_total=0.01, p_tx_max=0.005, bandwidth=200e3, noise_psd=1e-20)
 
