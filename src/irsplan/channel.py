@@ -41,9 +41,6 @@ class LinkStats:
         Pattern gain on the Rician factor; the effective factor is G_K * K.
     rho : float
         Mean power E{xi^2} of the normalized fading amplitude.
-    e_nlos : float
-        Pattern-averaged power of the scattered component, rho minus the
-        deterministic part.
     los : bool
         Whether the link is line-of-sight.
     """
@@ -52,7 +49,6 @@ class LinkStats:
     k_factor: float
     g_k: float
     rho: float
-    e_nlos: float
     los: bool
 
     @property
@@ -209,16 +205,14 @@ def link_stats(
     g = pathloss_uma(dist_3d, dist_2d, h_tx, h_rx, f_c_ghz, los)
     k = rician_k_isotropic(dist_3d, los)
     if kind == "ap_irs":
-        g_k, rho, e_nlos = adjust_stats_ap_irs(
-            k, ap_pattern, erp, depression_deg, arrival_polar_deg
-        )
+        g_k, rho, _ = adjust_stats_ap_irs(k, ap_pattern, erp, depression_deg, arrival_polar_deg)
     elif kind == "irs_ue":
-        g_k, rho, e_nlos = adjust_stats_irs_ue(k, erp, arrival_polar_deg)
+        g_k, rho, _ = adjust_stats_irs_ue(k, erp, arrival_polar_deg)
     elif kind == "ap_ue":
-        g_k, rho, e_nlos = adjust_stats_ap_ue(k, ap_pattern, depression_deg)
+        g_k, rho, _ = adjust_stats_ap_ue(k, ap_pattern, depression_deg)
     else:
         raise ValueError(f"unknown link kind: {kind!r}")
-    return LinkStats(g=g, k_factor=k, g_k=g_k, rho=rho, e_nlos=e_nlos, los=los)
+    return LinkStats(g=g, k_factor=k, g_k=g_k, rho=rho, los=los)
 
 
 def leg_stats(

@@ -177,15 +177,12 @@ def _cmd_stats(args) -> int:
     grid = link_stats_grid(
         scene, [spots[args.spot]], cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz
     )
-    budget = cfg.budget()
     series = snr_series(
         grid.direct[args.ue],
         grid.ap_irs[0],
         grid.irs_ue[args.ue][0],
         cfg.surface.n_elements,
-        budget,
-        amp_power_max=cfg.amp_power_max_w(),
-        amp_noise_psd=cfg.amp_noise_psd_w(),
+        cfg.budget(),
         n_mc=cfg.mc.n_mc,
         seed_path=(cfg.master_seed, STREAM_FADING, args.ue, args.spot),
     )

@@ -258,6 +258,8 @@ class ScenarioConfig:
             p_tx_max=mw_to_watts(self.power.p_tx_max_mw),
             bandwidth=self.rf.bandwidth_hz,
             noise_psd=dbm_to_watts(self.rf.noise_psd_dbm_hz),
+            amp_power_max=mw_to_watts(self.surface.amp_power_max_mw),
+            amp_noise_psd=dbm_to_watts(self.surface.amp_noise_psd_dbm_hz),
         )
 
     def ap_pattern(self) -> ApArrayPattern:
@@ -272,12 +274,6 @@ class ScenarioConfig:
 
     def erp(self) -> ErpModel:
         return ErpModel(self.surface.erp_exponent)
-
-    def amp_noise_psd_w(self) -> float:
-        return dbm_to_watts(self.surface.amp_noise_psd_dbm_hz)
-
-    def amp_power_max_w(self) -> float:
-        return mw_to_watts(self.surface.amp_power_max_mw)
 
 
 def parse_variant(label: str) -> tuple[str, int, float | None]:

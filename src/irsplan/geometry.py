@@ -68,7 +68,6 @@ class Scene:
     """Deployment site: one AP, buildings, user positions, ground area."""
 
     ap_position: Point3
-    ap_tilt_deg: float
     buildings: tuple[Building, ...]
     ues: tuple[Point3, ...]
     area_x: tuple[float, float]
@@ -85,8 +84,6 @@ class Scene:
         object.__setattr__(self, "area_y", tuple(map(float, self.area_y)))
         if not (self.area_x[0] < self.area_x[1] and self.area_y[0] < self.area_y[1]):
             raise ValueError("area bounds must be increasing")
-        if not (-90.0 < self.ap_tilt_deg <= 90.0):
-            raise ValueError("ap_tilt_deg must lie in (-90, 90]")
         for u in self.ues:
             if not (
                 self.area_x[0] <= u[0] <= self.area_x[1]
@@ -126,8 +123,6 @@ class CandidateSpot:
     facet_normal: Point3
     building_index: int
     face_index: int
-    grid_w: float
-    grid_h: float
 
 
 @dataclass(frozen=True)
@@ -241,6 +236,10 @@ def link_geometry(
     )
 
 
+# Most facade cells generate_candidate_spots builds: ~500x the 155-201
+# spots of the presets, far below a grid step that would take minutes.
+MAX_FACADE_CELLS = 100_000
+
 # The four vertical faces of a box, as (fixed axis, side, outward normal).
 _FACES = (
     (0, 0, (-1.0, 0.0, 0.0)),
@@ -262,41 +261,46 @@ def generate_candidate_spots(
     lower-left corner, keeping only full cells above min_mount_height; spot
     positions are the cell centers.  Ordering (and therefore ids) is
     deterministic: buildings in scene order, faces -x, +x, -y, +y, cells
-    row-major from the bottom row up.
+    row-major from the bottom row up.  A grid of more than MAX_FACADE_CELLS
+    cells is refused before any spot is built.
     """
     if not (grid_w > 0 and grid_h > 0):
         raise ValueError("grid_w and grid_h must be positive")
     if min_mount_height < 0:
         raise ValueError("min_mount_height must be >= 0")
-    spots: list[CandidateSpot] = []
+    faces = []  # (building, face, fixed axis, normal, plane, width start, rows, cols)
     for bi, bld in enumerate(scene.buildings):
         mn = np.asarray(bld.min_corner)
         mx = np.asarray(bld.max_corner)
         usable_h = bld.height - min_mount_height
         n_rows = int(math.floor(usable_h / grid_h + 1e-9)) if usable_h > 0 else 0
         for fi, (axis, side, normal) in enumerate(_FACES):
-            width_axis = 1 - axis
-            width = mx[width_axis] - mn[width_axis]
-            n_cols = int(math.floor(width / grid_w + 1e-9))
-            plane = mx[axis] if side else mn[axis]
-            for r in range(n_rows):
-                z = min_mount_height + (r + 0.5) * grid_h
-                for c in range(n_cols):
-                    w = mn[width_axis] + (c + 0.5) * grid_w
-                    pos = [0.0, 0.0, z]
-                    pos[axis] = float(plane)
-                    pos[width_axis] = float(w)
-                    spots.append(
-                        CandidateSpot(
-                            id=len(spots),
-                            position=tuple(pos),
-                            facet_normal=normal,
-                            building_index=bi,
-                            face_index=fi,
-                            grid_w=float(grid_w),
-                            grid_h=float(grid_h),
-                        )
+            wa = 1 - axis  # the face's width axis
+            n_cols = int(math.floor((mx[wa] - mn[wa]) / grid_w + 1e-9))
+            plane = float(mx[axis] if side else mn[axis])
+            faces.append((bi, fi, axis, normal, plane, mn[wa], n_rows, n_cols))
+    cells = sum(rows * cols for *_, rows, cols in faces)
+    if cells > MAX_FACADE_CELLS:
+        raise ValueError(
+            f"{cells} facade cells of {grid_w:g} x {grid_h:g} m exceed {MAX_FACADE_CELLS}"
+        )
+    spots: list[CandidateSpot] = []
+    for bi, fi, axis, normal, plane, start, n_rows, n_cols in faces:
+        for r in range(n_rows):
+            z = min_mount_height + (r + 0.5) * grid_h
+            for c in range(n_cols):
+                pos = [0.0, 0.0, z]
+                pos[axis] = plane
+                pos[1 - axis] = float(start + (c + 0.5) * grid_w)
+                spots.append(
+                    CandidateSpot(
+                        id=len(spots),
+                        position=tuple(pos),
+                        facet_normal=normal,
+                        building_index=bi,
+                        face_index=fi,
                     )
+                )
     return spots
 
 
@@ -321,6 +325,12 @@ def filter_candidates_by_ap_los(
     return kept
 
 
+# Street points lie at least this far apart (m), drawn in at most this
+# many rejection-sampling attempts.
+STREET_SPACING = 2.0
+STREET_ATTEMPTS = 200_000
+
+
 def scatter_street_points(
     area_x: tuple[float, float],
     area_y: tuple[float, float],
@@ -329,38 +339,38 @@ def scatter_street_points(
     rng: np.random.Generator,
     *,
     height: float = 1.5,
-    min_spacing: float = 2.0,
-    max_attempts: int = 200_000,
 ) -> list[Point3]:
     """Drop points uniformly on the streets (outside every footprint).
 
-    Rejection sampling with a minimum pairwise 2D spacing; deterministic for
-    a given generator state.
+    Rejection sampling with a minimum pairwise 2D spacing of
+    STREET_SPACING, giving up after STREET_ATTEMPTS draws; deterministic
+    for a given generator state.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    # Disks of radius min_spacing/2 around the points are disjoint and lie
-    # in the area grown by that radius, so their total area bounds count.
+    # Disks of radius s/2 around the points are disjoint and lie in the
+    # area grown by that radius, so their total area bounds count.
+    s = STREET_SPACING
     width, depth = area_x[1] - area_x[0], area_y[1] - area_y[0]
-    if count * math.pi * min_spacing**2 / 4.0 > (width + min_spacing) * (depth + min_spacing):
+    if count * math.pi * s**2 / 4.0 > (width + s) * (depth + s):
         raise RuntimeError(
-            f"could not place {count} street points {min_spacing:g} m apart "
+            f"could not place {count} street points {s:g} m apart "
             f"in a {width:g} x {depth:g} m area"
         )
     pts: list[Point3] = []
     xy = np.empty((0, 2))
     attempts = 0
     while len(pts) < count:
-        if attempts >= max_attempts:
+        if attempts >= STREET_ATTEMPTS:
             raise RuntimeError(
-                f"could not place {count} street points after {max_attempts} draws"
+                f"could not place {count} street points after {STREET_ATTEMPTS} draws"
             )
         attempts += 1
         x = float(rng.uniform(area_x[0], area_x[1]))
         y = float(rng.uniform(area_y[0], area_y[1]))
         if any(b.footprint_contains(x, y) for b in buildings):
             continue
-        if xy.shape[0] and np.min(np.hypot(xy[:, 0] - x, xy[:, 1] - y)) < min_spacing:
+        if xy.shape[0] and np.min(np.hypot(xy[:, 0] - x, xy[:, 1] - y)) < s:
             continue
         pts.append((x, y, float(height)))
         xy = np.vstack([xy, [x, y]])

@@ -34,6 +34,8 @@ class PowerBudget:
     p_tx_max: float   # W, per-UE AP transmit cap when a surface assists
     bandwidth: float  # Hz
     noise_psd: float  # W/Hz at the receiver
+    amp_power_max: float = 0.0  # W, active-surface amplifier budget P_A (0: none)
+    amp_noise_psd: float = 0.0  # W/Hz, active-surface amplifier noise N_v
 
     def __post_init__(self):
         for name in ("p_total", "p_tx_max", "bandwidth", "noise_psd"):
@@ -53,9 +55,6 @@ def snr_from_sums(
     d,
     budget: PowerBudget,
     power_sums=None,
-    *,
-    amp_power_max: float = 0.0,
-    amp_noise_psd: float = 0.0,
 ):
     """Optimal SNR from the amplitude sums of one or many fading draws.
 
@@ -71,11 +70,11 @@ def snr_from_sums(
         s = a + d
         return budget.p_total * s * s / sigma2
     sum_hi2, b = power_sums()
-    sigma_v2 = amp_noise_psd * budget.bandwidth
+    sigma_v2 = budget.amp_noise_psd * budget.bandwidth
     t = budget.p_tx_max * sum_hi2 + n_elements * sigma_v2
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = budget.p_tx_max * (math.sqrt(amp_power_max) * a + np.sqrt(t) * d) ** 2
-        den = amp_power_max * sigma_v2 * b + sigma2 * t
+        num = budget.p_tx_max * (math.sqrt(budget.amp_power_max) * a + np.sqrt(t) * d) ** 2
+        den = budget.amp_power_max * sigma_v2 * b + sigma2 * t
         # An amplifier that sees nothing at all leaves only the direct path.
         return np.where(t > 0.0, num / den, budget.p_tx_max * d * d / sigma2)
 
@@ -95,8 +94,6 @@ def snr_series(
     n_elements: int,
     budget: PowerBudget,
     *,
-    amp_power_max: float = 0.0,
-    amp_noise_psd: float = 0.0,
     n_mc: int,
     seed_path: tuple[int, ...],
     modes: tuple[str, ...] = MODES,
@@ -131,16 +128,7 @@ def snr_series(
                 np.einsum("ns,ns->s", h_r, h_r),
             )
         for m in out:
-            out[m][done : done + take] = snr_from_sums(
-                m,
-                n_elements,
-                a,
-                d,
-                budget,
-                power_sums,
-                amp_power_max=amp_power_max,
-                amp_noise_psd=amp_noise_psd,
-            )
+            out[m][done : done + take] = snr_from_sums(m, n_elements, a, d, budget, power_sums)
         done += take
         chunk_idx += 1
     return out

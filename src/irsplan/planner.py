@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import LinkStats, leg_stats
 from .geometry import CandidateSpot, Scene, los_clear
-from .link import PowerBudget, rate_and_snr_db, snr_series
+from .link import PowerBudget, fairness_index, rate_and_snr_db, snr_series
 from .patterns import ApArrayPattern, ErpModel
 from .seeds import STREAM_DIRECT, STREAM_FADING
 
@@ -139,6 +139,26 @@ def _solution(v, cols, optimality, stats) -> PlanSolution:
     )
 
 
+def _greedy(cand, means, v, value: float, k: int) -> tuple[list[int], float]:
+    """Up to k greedy forward picks among the columns of v, and their value.
+
+    cand[:, c] is the per-user coverage with column c added to the current
+    selection, means its column means and value the mean coverage now.
+    Ties go to the lowest id; picking stops once no column adds anything.
+    """
+    picks: list[int] = []
+    for step in range(k):
+        pick = int(np.argmax(means))
+        if float(means[pick]) - value <= 0.0:
+            break
+        value = float(means[pick])
+        picks.append(pick)
+        if step + 1 < k:
+            cand = np.maximum(cand[:, pick][:, None], v)
+            means = cand.mean(axis=0)
+    return picks, value
+
+
 def solve_greedy_swap(problem: PlanProblem) -> PlanSolution:
     """Greedy forward selection followed by best-improvement single swaps.
 
@@ -146,16 +166,10 @@ def solve_greedy_swap(problem: PlanProblem) -> PlanSolution:
     when it happens to hit the optimum.
     """
     v = problem.values()
-    u, m = v.shape
+    m = v.shape[1]
     j = problem.num_surfaces
-    chosen: list[int] = []
-    cur_max = np.zeros(u)
-    for _ in range(j):
-        partial = np.maximum(cur_max[:, None], v).mean(axis=0)
-        partial[chosen] = -np.inf
-        pick = int(np.argmax(partial))
-        chosen.append(pick)
-        cur_max = np.maximum(cur_max, v[:, pick])
+    chosen, _ = _greedy(v, v.mean(axis=0), v, 0.0, j)  # c added to nothing covers v[:, c]
+    chosen += [c for c in range(m) if c not in chosen][: j - len(chosen)]
     best_val, _ = _objective(v, tuple(chosen))
     swaps = 0
     improved = True
@@ -297,18 +311,7 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
         # Greedy completion: an incumbent candidate, and an upper bound via
         # the 1 - (1 - 1/k)^k approximation guarantee for greedy maximum
         # coverage.
-        g_val = base
-        g_cols: list[int] = []
-        cand = mx
-        for step in range(k_all):
-            means = cand.mean(axis=0) if step else partial
-            pick = int(np.argmax(means))
-            if float(means[pick]) - g_val <= 0.0:
-                break  # no single column helps, so no completion does
-            g_val = float(means[pick])
-            g_cols.append(pick)
-            if step + 1 < k_all:
-                cand = np.maximum(cand[:, pick][:, None], block)
+        g_cols, g_val = _greedy(mx, partial, block, base, k_all)
         if g_val > inc_val:
             taken = set(sel) | {nxt + c for c in g_cols}
             pad = (c for c in range(m) if c not in taken)
@@ -364,20 +367,22 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
     return finished(nodes)
 
 
-def solve_exact(
-    problem: PlanProblem,
-    combination_limit: int = 200_000,
-    node_budget: int = 2_000_000,
-) -> PlanSolution:
+# solve_exact enumerates up to this many spot subsets, and runs
+# branch-and-bound beyond.
+COMBINATION_LIMIT = 200_000
+
+
+def solve_exact(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolution:
     """Provably optimal spot subset.
 
-    Plain enumeration while C(M, J) stays small, branch-and-bound beyond
-    that (which can return a labeled heuristic if its node budget is hit).
+    Plain enumeration while C(M, J) stays within COMBINATION_LIMIT,
+    branch-and-bound beyond that (which can return a labeled heuristic if
+    its node budget is hit).
     """
     v = problem.values()
     m = problem.matrix.num_spots
     j = problem.num_surfaces
-    if math.comb(m, j) > combination_limit:
+    if math.comb(m, j) > COMBINATION_LIMIT:
         return solve_bnb(problem, node_budget=node_budget)
     best_val = -math.inf
     best: tuple[int, ...] = ()
@@ -399,7 +404,6 @@ class PlanReport:
 
     mean_rate: float
     fairness: float
-    per_ue_rate: tuple[float, ...]
     coverage: dict
 
 
@@ -413,8 +417,6 @@ def evaluate_plan(
     Rejects infeasible plans (empty choice, wrong assignment length, or a
     UE assigned to an unchosen spot).
     """
-    from .link import fairness_index
-
     u, m = matrix.rates.shape
     chosen = set(solution.chosen_spots)
     if not chosen:
@@ -435,7 +437,6 @@ def evaluate_plan(
     return PlanReport(
         mean_rate=float(rates.mean()),
         fairness=fairness_index(rates),
-        per_ue_rate=tuple(float(r) for r in rates),
         coverage=coverage,
     )
 
@@ -531,8 +532,6 @@ def build_metric_matrices(
     budget: PowerBudget,
     *,
     n_elements: int,
-    amp_power_max: float,
-    amp_noise_psd: float,
     n_mc: int,
     master_seed: int,
     modes: tuple[str, ...] = ("active", "passive"),
@@ -557,8 +556,6 @@ def build_metric_matrices(
                 lo,
                 budget,
                 n_elements,
-                amp_power_max,
-                amp_noise_psd,
                 n_mc,
                 master_seed,
                 modes,
@@ -584,8 +581,6 @@ def _metric_rows(
     first: int,
     budget: PowerBudget,
     n_elements: int,
-    amp_power_max: float,
-    amp_noise_psd: float,
     n_mc: int,
     master_seed: int,
     modes: tuple[str, ...],
@@ -604,8 +599,6 @@ def _metric_rows(
                 grid.irs_ue[i][mi],
                 n_elements,
                 budget,
-                amp_power_max=amp_power_max,
-                amp_noise_psd=amp_noise_psd,
                 n_mc=n_mc,
                 seed_path=(master_seed, STREAM_FADING, ui, mi),
                 modes=modes,

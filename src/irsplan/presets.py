@@ -73,13 +73,12 @@ def build_scene(cfg: ScenarioConfig) -> Scene | None:
     try:
         return Scene(
             ap_position=(0.0, 0.0, cfg.ap.height),
-            ap_tilt_deg=cfg.ap.tilt_deg,
             buildings=tuple(buildings),
             ues=ues,
             area_x=area_x,
             area_y=area_y,
         )
     except ValueError as exc:
-        # ScenarioConfig checks the area, the tilt and the UE height, so
+        # ScenarioConfig checks the area and the UE height, so
         # what is left to reject is a listed UE off the streets.
         raise ConfigError(f"layout.ues_xy: {exc}") from exc

@@ -10,7 +10,6 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 
 import numpy as np
@@ -102,8 +101,6 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
                     stats_r,
                     n_elements,
                     budget,
-                    amp_power_max=cfg.amp_power_max_w(),
-                    amp_noise_psd=cfg.amp_noise_psd_w(),
                     n_mc=sweep.n_mc,
                     seed_path=(cfg.master_seed, STREAM_FADING, 0, pi),
                     modes=(mode,),
@@ -125,23 +122,21 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
 
 def candidate_spots(cfg: ScenarioConfig, scene) -> list:
     """Facade grid filtered to spots that see the AP from the front."""
-    raw = generate_candidate_spots(
-        scene, cfg.layout.grid_w, cfg.layout.grid_h, cfg.layout.min_mount_height
-    )
+    lay = cfg.layout
+    try:
+        raw = generate_candidate_spots(scene, lay.grid_w, lay.grid_h, lay.min_mount_height)
+    except ValueError as exc:  # a grid too fine to enumerate
+        raise ConfigError(f"layout.grid_w/grid_h: {exc}") from exc
     return filter_candidates_by_ap_los(raw, scene)
 
 
-def scene_and_spots(cfg: ScenarioConfig, scene=None, spots=None) -> tuple:
-    """The scene and its candidate spots, each built unless passed in.
-
-    Raises ConfigError when the layout has no scene or no spot survives.
-    """
-    if scene is None:
-        scene = build_scene(cfg)
+def scene_and_spots(cfg: ScenarioConfig) -> tuple:
+    """The scene and its candidate spots; a ConfigError when the layout has
+    no scene or no spot survives."""
+    scene = build_scene(cfg)
     if scene is None:
         raise ConfigError("layout.kind: 'none' has no scene, so no spots")
-    if spots is None:
-        spots = candidate_spots(cfg, scene)
+    spots = candidate_spots(cfg, scene)
     if not spots:
         raise ConfigError("layout: no spots survive AP visibility filtering")
     return scene, spots
@@ -239,31 +234,21 @@ def _plan_entry(
     }
 
 
-def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, grid, element_counts, modes):
+def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, element_counts, modes):
     """MC metric matrices per element count and the no-surface baseline
-    (rates, avg SNR dB), built with the stats grid (unless passed in) on
-    one pool of worker processes (see worker_count); the results do not
-    depend on its size."""
+    (rates, avg SNR dB), built with the stats grid on one pool of worker
+    processes (see worker_count); the results do not depend on its size."""
     budget = cfg.budget()
     workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
     with _fork_pool(workers) as pool:
-        if grid is None:
-            grid = link_stats_grid(
-                scene,
-                spots,
-                cfg.ap_pattern(),
-                cfg.erp(),
-                cfg.rf.f_c_ghz,
-                pool=pool,
-                blocks=workers,
-            )
+        grid = link_stats_grid(
+            scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz, pool=pool, blocks=workers
+        )
         matrices = {
             n: build_metric_matrices(
                 grid,
                 budget,
                 n_elements=n,
-                amp_power_max=cfg.amp_power_max_w(),
-                amp_noise_psd=cfg.amp_noise_psd_w(),
                 n_mc=cfg.mc.n_mc,
                 master_seed=cfg.master_seed,
                 modes=modes,
@@ -276,20 +261,19 @@ def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, grid, element_counts, 
     return matrices, baseline
 
 
-def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict:
+def run_deployment(cfg: ScenarioConfig) -> dict:
     """Plan deployments that split an element budget across 1..k surfaces.
 
     For every split k the element budget divides evenly over k surfaces
     (J = k placements) and the plan maximizing the configured objective is
-    solved per surface mode.  Precomputed scene/spots/stats can be passed in
-    to share work across runs.
+    solved per surface mode.
     """
-    scene, spots = scene_and_spots(cfg, scene, spots)
+    scene, spots = scene_and_spots(cfg)
     dep = cfg.deploy
     _check_plan_sizes("deploy.splits", dep.splits, len(spots))
     n_total = cfg.surface.n_total
     matrices, (baseline_rates, baseline_snr) = _grid_and_matrices(
-        cfg, scene, spots, grid, [n_total // split for split in dep.splits], dep.modes
+        cfg, scene, spots, [n_total // split for split in dep.splits], dep.modes
     )
     results = []
     worst = "proven_optimal"
@@ -329,7 +313,7 @@ def run_deployment(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> di
     }
 
 
-def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict:
+def run_coverage(cfg: ScenarioConfig) -> dict:
     """Covered-UE ratio versus the number of deployed surfaces.
 
     Every surface keeps the full per-surface element count here (no budget
@@ -338,11 +322,11 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
     started with the previous J's choice plus its best single extension, so
     the reported ratios are nondecreasing in J by construction.
     """
-    scene, spots = scene_and_spots(cfg, scene, spots)
+    scene, spots = scene_and_spots(cfg)
     cov = cfg.coverage
     _check_plan_sizes("coverage.num_surfaces", cov.num_surfaces, len(spots))
     n = cfg.surface.n_elements
-    matrices, (_, baseline_snr) = _grid_and_matrices(cfg, scene, spots, grid, [n], cov.modes)
+    matrices, (_, baseline_snr) = _grid_and_matrices(cfg, scene, spots, [n], cov.modes)
     rows = []
     exhausted = False
     for threshold in cov.thresholds_db:
@@ -391,21 +375,19 @@ def run_coverage(cfg: ScenarioConfig, scene=None, spots=None, grid=None) -> dict
 
 
 def _extend_plan(problem: PlanProblem, prev: PlanSolution) -> PlanSolution:
-    """prev's choice plus its best single additions, as a fallback plan."""
-    from .planner import _objective, _solution
+    """prev's choice plus its best single additions, as a fallback plan.
+
+    Coverage values are 0/1, so the column-wise means that pick each
+    addition equal the canonical objective exactly.
+    """
+    from .planner import _greedy, _solution
 
     v = problem.values()
-    m = v.shape[1]
+    j = problem.num_surfaces
     chosen = list(prev.chosen_spots)
-    while len(chosen) < problem.num_surfaces:
-        best_val = -math.inf
-        best_c = None
-        for c in range(m):
-            if c in chosen:
-                continue
-            val, _ = _objective(v, tuple(chosen + [c]))
-            if val > best_val:
-                best_val = val
-                best_c = c
-        chosen.append(best_c)
+    cur = v[:, chosen].max(axis=1)
+    cand = np.maximum(cur[:, None], v)
+    added, _ = _greedy(cand, cand.mean(axis=0), v, float(cur.mean()), j - len(chosen))
+    chosen += added
+    chosen += [c for c in range(v.shape[1]) if c not in chosen][: j - len(chosen)]
     return _solution(v, chosen, "heuristic", {"method": "warm_extension"})

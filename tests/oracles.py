@@ -26,6 +26,7 @@ tests can state facts about a single link in one call.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -273,6 +274,13 @@ class IrsUnit:
                 raise ValueError("amp_noise_psd must be >= 0")
 
 
+def _with_amplifier(budget, unit: IrsUnit):
+    """budget with the unit's amplifier figures."""
+    return dataclasses.replace(
+        budget, amp_power_max=unit.amp_power_max, amp_noise_psd=unit.amp_noise_psd
+    )
+
+
 def optimal_amplification(h_i_amps, unit: IrsUnit, budget) -> float:
     """Amplification factor maximizing the SNR under the amplifier budget.
 
@@ -307,10 +315,8 @@ def snr_optimal(h_i_amps, h_r_amps, h_d_amp, unit: IrsUnit, budget) -> float:
         h_i.size,
         float(h_i @ h_r),
         d,
-        budget,
+        _with_amplifier(budget, unit),
         lambda: (float(h_i @ h_i), float(h_r @ h_r)),
-        amp_power_max=unit.amp_power_max,
-        amp_noise_psd=unit.amp_noise_psd,
     )
     return float(gamma)
 
@@ -349,9 +355,7 @@ def ergodic_throughput_mc(
         stats_ap_irs,
         stats_irs_ue,
         unit.n_elements,
-        budget,
-        amp_power_max=unit.amp_power_max,
-        amp_noise_psd=unit.amp_noise_psd,
+        _with_amplifier(budget, unit),
         n_mc=n_mc,
         seed_path=seed_path,
         modes=(unit.mode,),

@@ -26,15 +26,12 @@ from irsplan.patterns import ApArrayPattern, ErpModel, erp_gain_from_exponent, e
 from irsplan.planner import (
     MetricMatrix,
     PlanProblem,
-    build_metric_matrices,
     evaluate_plan,
-    link_stats_grid,
     solve_bnb,
     solve_exact,
     solve_greedy_swap,
 )
-from irsplan.presets import build_scene
-from irsplan.runners import candidate_spots, run_coverage, run_link_sweep
+from irsplan.runners import _grid_and_matrices, run_coverage, run_link_sweep, scene_and_spots
 
 from oracles import (
     IrsUnit,
@@ -80,21 +77,9 @@ def medium_bundle():
     """Scene, spots, and rate/SNR matrices of the medium deployment preset."""
     t0 = time.perf_counter()
     cfg = experiment_preset("split_1024")
-    scene = build_scene(cfg)
-    spots = candidate_spots(cfg, scene)
-    grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
-    matrices = {
-        n: build_metric_matrices(
-            grid,
-            cfg.budget(),
-            n_elements=n,
-            amp_power_max=cfg.amp_power_max_w(),
-            amp_noise_psd=cfg.amp_noise_psd_w(),
-            n_mc=cfg.mc.n_mc,
-            master_seed=cfg.master_seed,
-        )
-        for n in (1024, 512, 256)
-    }
+    scene, spots = scene_and_spots(cfg)
+    # the pooled path that `irsplan deploy` runs
+    matrices, _ = _grid_and_matrices(cfg, scene, spots, (1024, 512, 256), ("active", "passive"))
     elapsed = time.perf_counter() - t0
     return {"spots": spots, "matrices": matrices, "elapsed": elapsed}
 
@@ -184,9 +169,11 @@ def test_criterion_03_isotropic_recovery():
 def test_criterion_04_phase_and_amplification_optimality():
     t0 = time.perf_counter()
     cfg = ScenarioConfig()
-    unit = IrsUnit(16, "active", cfg.amp_power_max_w(), cfg.amp_noise_psd_w(), cfg.erp())
+    unit = IrsUnit(
+        16, "active", cfg.budget().amp_power_max, cfg.budget().amp_noise_psd, cfg.erp()
+    )
     sigma2 = BUDGET.noise_power
-    sigma_v2 = cfg.amp_noise_psd_w() * BUDGET.bandwidth
+    sigma_v2 = cfg.budget().amp_noise_psd * BUDGET.bandwidth
     rng = np.random.default_rng(2026)
     phase_ok = True
     amp_ok = True

@@ -278,7 +278,7 @@ def test_link_stats_ap_irs_matches_manual_composition():
     )
     assert s.g == pathloss_uma(60.0, 55.0, 25.0, 10.0, 2.0, True)
     k = rician_k_isotropic(60.0, True)
-    assert (s.g_k, s.rho, s.e_nlos) == adjust_stats_ap_irs(k, ap, erp, 14.0, 25.0)
+    assert (s.g_k, s.rho) == adjust_stats_ap_irs(k, ap, erp, 14.0, 25.0)[:2]
 
 
 # --- amplitude sampling -----------------------------------------------------

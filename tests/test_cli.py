@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,6 +12,8 @@ from irsplan.cli import main, write_csv, write_json
 from irsplan.config import load_config, scenario_fingerprint
 from irsplan.presets import build_scene
 from irsplan.runners import candidate_spots, parse_variant
+
+TINY_CUSTOM = Path(__file__).resolve().parents[1] / "configs" / "tiny_custom.yaml"
 
 TINY = {
     "preset": "custom",
@@ -183,6 +187,19 @@ def test_spots_csv_matches_api(tiny_cfg, tmp_path):
 def test_spots_needs_a_scene(capsys):
     assert main(["spots", "--preset", "link_sweep"]) == 2
     assert "no spots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["grid_w", "grid_h"])
+def test_spots_refuses_a_grid_too_fine_to_enumerate(tmp_path, capsys, key):
+    # 1e-9 m cells would cut the one facade of tiny_custom into ~1e10 spots
+    cfg = yaml.safe_load(TINY_CUSTOM.read_text(encoding="utf-8"))
+    cfg["layout"][key] = 1e-9
+    path = tmp_path / "fine.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    t0 = time.perf_counter()
+    assert main(["spots", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "config error: layout.grid_w/grid_h:" in capsys.readouterr().err
 
 
 # --- stats ------------------------------------------------------------------

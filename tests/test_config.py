@@ -84,8 +84,8 @@ def test_derived_ap_pattern():
 def test_derived_surface_template():
     cfg = ScenarioConfig()
     assert cfg.surface.n_elements == 256
-    assert cfg.amp_power_max_w() == 0.005
-    assert cfg.amp_noise_psd_w() == 10.0 ** (-16.0) * 1e-3
+    assert cfg.budget().amp_power_max == 0.005
+    assert cfg.budget().amp_noise_psd == 10.0 ** (-16.0) * 1e-3
     assert cfg.erp().exponent == 1.0
     assert ScenarioConfig(surface=SurfaceConfig(erp_exponent=3.0)).erp().exponent == 3.0
 

@@ -2,13 +2,9 @@
 
 Each example starts from the full config of configs/tiny_custom.yaml and
 replaces one to three sections, fields or list entries with a wrong type,
-a negative number, zero, nan, +-inf, or (for a list) a list one entry too
-short or too long.
-
-The strategy never draws a positive number below a value it replaces, so
-layout.grid_w and layout.grid_h stay at tiny_custom's 10 m and 5 m or
-become invalid.  A positive grid step far below that is a known gap: at
-grid_w = 1e-9 m generate_candidate_spots enumerates ~1e10 facade cells.
+a negative number, zero, a tiny positive number (1e-9, which as a grid
+step would cut the facades into ~1e10 cells), nan, +-inf, or (for a list)
+a list one entry too short or too long.
 """
 
 import copy
@@ -26,7 +22,7 @@ from irsplan.config import config_to_dict, load_config
 TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_custom.yaml"
 BASE = config_to_dict(load_config(str(TINY)))
 
-WRONG = ["x", True, None, {}, -1, -2.5, 0, 0.0, math.nan, math.inf, -math.inf]
+WRONG = ["x", True, None, {}, -1, -2.5, 0, 0.0, 1e-9, math.nan, math.inf, -math.inf]
 
 
 def _paths(node, path=()):

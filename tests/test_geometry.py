@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from irsplan import geometry
 from irsplan.geometry import (
     Building,
     CandidateSpot,
@@ -27,7 +28,6 @@ AP = (0.0, 0.0, 25.0)
 def empty_scene() -> Scene:
     return Scene(
         ap_position=AP,
-        ap_tilt_deg=10.0,
         buildings=(),
         ues=(),
         area_x=(-200.0, 200.0),
@@ -38,7 +38,6 @@ def empty_scene() -> Scene:
 def one_block_scene(height=30.0) -> Scene:
     return Scene(
         ap_position=AP,
-        ap_tilt_deg=10.0,
         buildings=(Building((40.0, -10.0, 0.0), (60.0, 10.0, height)),),
         ues=(),
         area_x=(-200.0, 200.0),
@@ -67,7 +66,6 @@ def boxes_strategy(max_boxes=3):
 def scene_of(buildings) -> Scene:
     return Scene(
         ap_position=AP,
-        ap_tilt_deg=10.0,
         buildings=tuple(buildings),
         ues=(),
         area_x=(-500.0, 500.0),
@@ -92,13 +90,13 @@ def test_building_validation():
 def test_scene_rejects_bad_ues():
     bld = Building((40.0, -10.0, 0.0), (60.0, 10.0, 30.0))
     with pytest.raises(ValueError):  # outside the area
-        Scene(AP, 10.0, (), ((300.0, 0.0, 1.5),), (-200.0, 200.0), (-200.0, 200.0))
+        Scene(AP, (), ((300.0, 0.0, 1.5),), (-200.0, 200.0), (-200.0, 200.0))
     with pytest.raises(ValueError):  # above the AP
-        Scene(AP, 10.0, (), ((0.0, 0.0, 30.0),), (-200.0, 200.0), (-200.0, 200.0))
+        Scene(AP, (), ((0.0, 0.0, 30.0),), (-200.0, 200.0), (-200.0, 200.0))
     with pytest.raises(ValueError):  # inside a building
-        Scene(AP, 10.0, (bld,), ((50.0, 0.0, 1.5),), (-200.0, 200.0), (-200.0, 200.0))
+        Scene(AP, (bld,), ((50.0, 0.0, 1.5),), (-200.0, 200.0), (-200.0, 200.0))
     with pytest.raises(ValueError):  # inverted area bounds
-        Scene(AP, 10.0, (), (), (200.0, -200.0), (-200.0, 200.0))
+        Scene(AP, (), (), (200.0, -200.0), (-200.0, 200.0))
 
 
 # --- line of sight ----------------------------------------------------------
@@ -219,7 +217,6 @@ def test_link_geometry_normal_is_normalized():
 def single_building_scene() -> Scene:
     return Scene(
         ap_position=AP,
-        ap_tilt_deg=10.0,
         buildings=(Building((0.0, 0.0, 0.0), (30.0, 40.0, 20.0)),),
         ues=(),
         area_x=(-100.0, 100.0),
@@ -254,7 +251,6 @@ def test_spot_positions_on_faces():
         else:
             assert abs(y - (mn[1] if ny < 0 else mx[1])) < 1e-9
             assert mn[0] < x < mx[0]
-        assert s.grid_w == 20.0 and s.grid_h == 7.0
 
 
 def test_spot_ordering_and_determinism():
@@ -270,13 +266,16 @@ def test_spot_ordering_and_determinism():
 def test_spot_generation_edge_cases():
     assert generate_candidate_spots(empty_scene(), 20.0, 7.0, 6.0) == []
     # a building entirely below the mounting floor yields nothing
-    low = Scene(AP, 10.0, (Building((0.0, 0.0, 0.0), (30.0, 40.0, 5.0)),), (),
+    low = Scene(AP, (Building((0.0, 0.0, 0.0), (30.0, 40.0, 5.0)),), (),
                 (-100.0, 100.0), (-100.0, 100.0))
     assert generate_candidate_spots(low, 20.0, 7.0, 6.0) == []
     with pytest.raises(ValueError):
         generate_candidate_spots(empty_scene(), 0.0, 7.0)
     with pytest.raises(ValueError):
         generate_candidate_spots(empty_scene(), 20.0, 7.0, -1.0)
+    # a grid too fine to enumerate is refused before any spot is built
+    with pytest.raises(ValueError, match="facade cells"):
+        generate_candidate_spots(single_building_scene(), 1e-9, 7.0, 6.0)
 
 
 def test_filter_keeps_front_lit_visible_spots():
@@ -310,7 +309,7 @@ def test_filter_blocked_front_spot_removed():
     # bottom mounting row; the higher rows see the AP over its roof
     blocker = Building((20.0, -50.0, 0.0), (25.0, 50.0, 15.0))
     target = Building((40.0, -10.0, 0.0), (60.0, 10.0, 30.0))
-    scene = Scene(AP, 10.0, (blocker, target), (), (-200.0, 200.0), (-200.0, 200.0))
+    scene = Scene(AP, (blocker, target), (), (-200.0, 200.0), (-200.0, 200.0))
     spots = [s for s in generate_candidate_spots(scene, 10.0, 5.0, 6.0)
              if s.building_index == 1]
     front = [s for s in spots if s.facet_normal == (-1.0, 0.0, 0.0)]
@@ -351,12 +350,12 @@ def test_scatter_is_deterministic_per_seed():
     assert a != c
 
 
-def test_scatter_fails_when_area_is_full():
+def test_scatter_fails_when_area_is_full(monkeypatch):
+    monkeypatch.setattr(geometry, "STREET_ATTEMPTS", 500)
     blocked = (Building((-10.0, -10.0, 0.0), (10.0, 10.0, 5.0)),)
     with pytest.raises(RuntimeError):
         scatter_street_points(
-            (-10.0, 10.0), (-10.0, 10.0), blocked, 3,
-            np.random.default_rng(0), max_attempts=500,
+            (-10.0, 10.0), (-10.0, 10.0), blocked, 3, np.random.default_rng(0)
         )
     with pytest.raises(ValueError):
         scatter_street_points((-10.0, 10.0), (-10.0, 10.0), (), -1,

@@ -1,5 +1,6 @@
 """Link-level SNR closed forms, Monte Carlo metrics, and summary indices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,15 +40,18 @@ ACTIVE = IrsUnit(
     amp_noise_psd=10.0 ** (-16.0) * 1e-3,
 )
 PASSIVE = IrsUnit(n_elements=4, mode="passive")
+AMP_BUDGET = dataclasses.replace(
+    BUDGET, amp_power_max=ACTIVE.amp_power_max, amp_noise_psd=ACTIVE.amp_noise_psd
+)
 
 
 def det_stats(g: float, rho: float) -> LinkStats:
     """A fading-free link: infinite Rician factor, amplitude sqrt(g rho)."""
-    return LinkStats(g=g, k_factor=math.inf, g_k=1.0, rho=rho, e_nlos=0.0, los=True)
+    return LinkStats(g=g, k_factor=math.inf, g_k=1.0, rho=rho, los=True)
 
 
 def rayleigh_stats(g: float, rho: float) -> LinkStats:
-    return LinkStats(g=g, k_factor=0.0, g_k=1.0, rho=rho, e_nlos=rho, los=False)
+    return LinkStats(g=g, k_factor=0.0, g_k=1.0, rho=rho, los=False)
 
 
 # --- amplification ----------------------------------------------------------
@@ -288,9 +292,7 @@ def test_snr_series_modes_share_draws():
     s_r = rayleigh_stats(1e-8, 1.2)
     kw = dict(
         n_elements=4,
-        budget=BUDGET,
-        amp_power_max=ACTIVE.amp_power_max,
-        amp_noise_psd=ACTIVE.amp_noise_psd,
+        budget=AMP_BUDGET,
         n_mc=64,
         seed_path=(1, 2),
     )
@@ -308,9 +310,7 @@ def test_snr_series_chunking_is_transparent():
     s_r = rayleigh_stats(1e-8, 1.2)
     kw = dict(
         n_elements=2,
-        budget=BUDGET,
-        amp_power_max=ACTIVE.amp_power_max,
-        amp_noise_psd=ACTIVE.amp_noise_psd,
+        budget=AMP_BUDGET,
         seed_path=(0,),
         modes=("passive",),
     )

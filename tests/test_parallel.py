@@ -70,8 +70,6 @@ def test_pool_grid_and_matrices_match_serial():
     args = (scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
     kwargs = dict(
         n_elements=8,
-        amp_power_max=cfg.amp_power_max_w(),
-        amp_noise_psd=cfg.amp_noise_psd_w(),
         n_mc=cfg.mc.n_mc,
         master_seed=cfg.master_seed,
     )

@@ -1,5 +1,6 @@
 """Spot-selection solvers, plan evaluation, and metric-matrix assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from irsplan.planner import (
     solve_exact,
     solve_greedy_swap,
 )
+from irsplan.runners import _extend_plan
 from irsplan.seeds import STREAM_DIRECT
 
 from oracles import IrsUnit, best_assignment_value, brute_force_plan, snr_optimal
@@ -241,6 +243,79 @@ def test_bnb_rejects_empty_budget():
         solve_bnb(rate_problem(STALL_MATRIX, 3), node_budget=0)
 
 
+# --- coverage-only shortcuts of branch-and-bound ----------------------------
+
+def test_bnb_stops_when_greedy_covers_every_coverable_user():
+    # greedy takes spots 0 and 1 and so serves users 0, 1 and 3; no spot
+    # serves user 2, so no plan can do better and no node is expanded
+    v = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 1]], dtype=float)
+    sol = solve_bnb(rate_problem(v, 2))
+    assert sol.chosen_spots == (0, 1)
+    assert sol.objective_value == 0.75
+    assert sol.optimality == "proven_optimal"
+    assert sol.solve_stats["nodes"] == 0
+
+
+def test_bnb_drops_duplicated_spots():
+    # spot 2 repeats spot 1 and spot 4 repeats spot 0; the dominance
+    # pre-pass searches each pair once (4 nodes without it)
+    v = np.array(
+        [[0, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 0, 0],
+         [1, 0, 0, 1, 1], [0, 0, 0, 1, 0], [1, 0, 0, 0, 1]],
+        dtype=float,
+    )
+    sol = solve_bnb(rate_problem(v, 2))
+    assert sol.objective_value == 0.5 == brute_force_plan(v, 2)[0]
+    assert sol.optimality == "proven_optimal"
+    assert sol.solve_stats["nodes"] == 3
+
+
+# --- warm extension of coverage plans ---------------------------------------
+
+# 9 users x 6 spots where greedy+swap covers 8 users with two spots (it
+# swaps 0 -> 3, then 1 -> 4) but only 7 with three: its greedy start
+# (0, 1, 2) is already a swap-local optimum.
+COVERAGE_DROP = np.array(
+    [
+        [1, 0, 0, 1, 0, 0],
+        [1, 0, 0, 1, 0, 0],
+        [1, 1, 0, 0, 1, 0],
+        [1, 1, 0, 0, 1, 0],
+        [0, 1, 0, 1, 0, 0],
+        [0, 1, 0, 0, 1, 0],
+        [0, 0, 1, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+    ],
+    dtype=float,
+)
+
+
+def coverage_problem(values, j) -> PlanProblem:
+    v = np.asarray(values, dtype=float)
+    return PlanProblem(
+        matrix=mat(v, 40.0 * v), num_surfaces=j,
+        objective="coverage_count", threshold_db=20.0,
+    )
+
+
+def test_warm_extension_recovers_a_coverage_drop():
+    two = solve_greedy_swap(coverage_problem(COVERAGE_DROP, 2))
+    three = solve_greedy_swap(coverage_problem(COVERAGE_DROP, 3))
+    assert two.chosen_spots == (3, 4) and two.objective_value == 8 / 9
+    assert three.chosen_spots == (0, 1, 2) and three.objective_value == 7 / 9
+    # one best addition to the two-spot plan
+    ext = _extend_plan(coverage_problem(COVERAGE_DROP, 3), two)
+    assert ext.chosen_spots == (3, 4, 5)
+    assert ext.objective_value == 1.0
+    assert ext.assignment == (3, 3, 4, 4, 3, 4, 3, 4, 5)
+    assert ext.optimality == "heuristic"
+    # past full coverage no spot adds anything: the lowest free id fills in
+    ext = _extend_plan(coverage_problem(COVERAGE_DROP, 4), two)
+    assert ext.chosen_spots == (0, 3, 4, 5)
+    assert ext.assignment == (0, 0, 0, 0, 3, 4, 3, 4, 5)
+
+
 # --- problem validation -----------------------------------------------------
 
 def test_plan_problem_validation():
@@ -272,7 +347,6 @@ def test_evaluate_plan_report_values():
     report = evaluate_plan(sol, mat(rates, snr), thresholds_db=(20.0, 30.0))
     picked = rates[np.arange(3), list(sol.assignment)]
     assert report.mean_rate == float(picked.mean())
-    assert report.per_ue_rate == tuple(picked)
     served_snr = snr[np.arange(3), list(sol.assignment)]
     assert report.coverage[20.0] == float(np.mean(served_snr >= 20.0))
     assert report.coverage[30.0] == float(np.mean(served_snr >= 30.0))
@@ -309,7 +383,7 @@ def test_evaluate_plan_rejects_infeasible_plans():
 # --- metric-matrix assembly -------------------------------------------------
 
 def det_stats(g: float, rho: float) -> LinkStats:
-    return LinkStats(g=g, k_factor=math.inf, g_k=1.0, rho=rho, e_nlos=0.0, los=True)
+    return LinkStats(g=g, k_factor=math.inf, g_k=1.0, rho=rho, los=True)
 
 
 def test_metric_matrices_deterministic_single_pair():
@@ -320,10 +394,8 @@ def test_metric_matrices_deterministic_single_pair():
     )
     out = build_metric_matrices(
         grid,
-        BUDGET,
+        dataclasses.replace(BUDGET, amp_power_max=0.005, amp_noise_psd=1e-19),
         n_elements=4,
-        amp_power_max=0.005,
-        amp_noise_psd=1e-19,
         n_mc=3,
         master_seed=0,
     )
@@ -347,8 +419,8 @@ def test_metric_matrices_deterministic_single_pair():
 
 def test_direct_only_metrics_match_series():
     direct = (
-        LinkStats(g=1e-9, k_factor=0.0, g_k=1.0, rho=1.0, e_nlos=1.0, los=False),
-        LinkStats(g=2e-9, k_factor=3.0, g_k=1.0, rho=1.1, e_nlos=0.275, los=True),
+        LinkStats(g=1e-9, k_factor=0.0, g_k=1.0, rho=1.0, los=False),
+        LinkStats(g=2e-9, k_factor=3.0, g_k=1.0, rho=1.1, los=True),
     )
     rates, snr_db = direct_only_metrics(direct, BUDGET, 32, 9)
     for ui in range(2):

@@ -27,7 +27,7 @@ def test_sample_fading_is_the_kernel_sampler(k_tilde, leg):
     # a leg with g * rho_leg == rho draws exactly what sample_fading draws
     # from the same substream, so criterion 02 tests the production sampler
     rho, n, path = 1.7, 300, (11, 3, 4, 5)
-    stats = LinkStats(g=1.0, k_factor=k_tilde, g_k=1.0, rho=rho, e_nlos=0.0, los=True)
+    stats = LinkStats(g=1.0, k_factor=k_tilde, g_k=1.0, rho=rho, los=True)
     twin = sample_fading(k_tilde, rho, n, substream(*path, leg, 0))
     kernel = _amp_chunk(stats, 1, n, path, leg, 0)[0]
     assert np.array_equal(twin, kernel)
