@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .channel import link_stats
 from .config import (
+    PRESETS,
     ConfigError,
     ScenarioConfig,
     config_to_dict,
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-c", "--config", help="YAML configuration file")
         p.add_argument(
             "--preset",
-            choices=("link_sweep", "medium_deploy", "split_1024", "widearea_coverage"),
+            choices=[preset for preset in PRESETS if preset != "custom"],
             help="use a canned experiment configuration instead of --config",
         )
         p.add_argument("--seed", type=int, default=None, help="override the master seed")

@@ -6,7 +6,8 @@ through an interval of positive length, so rays that merely graze a face,
 edge or corner keep line of sight.  Endpoints that lie exactly on a face
 (e.g. a reflector mounted on a facade) are nudged a micrometer outward
 along the face normal before testing, which keeps the test total and makes
-links leaving a facade see past their own building.
+links leaving a facade see past their own building.  The test
+(los_clear_many) runs on arrays of segments against all boxes at once.
 """
 
 from __future__ import annotations
@@ -141,58 +142,49 @@ class LinkGeometry:
     arrival_polar_deg: float | None = None
 
 
-def _nudged_endpoint(p: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
-    """Push p outward off every building face it lies on (within tolerance)."""
-    if mn.shape[0] == 0:
-        return p
+def _nudged(p: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """Points p (..., 3) pushed outward off every face they lie on, box by box
+    in scene order; each box tests the un-nudged point."""
     q = p.copy()
-    touching = np.all((p >= mn - _FACE_TOL) & (p <= mx + _FACE_TOL), axis=1)
-    for b in np.nonzero(touching)[0]:
-        on_min = np.abs(p - mn[b]) <= _FACE_TOL
-        on_max = np.abs(p - mx[b]) <= _FACE_TOL
-        if on_min.any() or on_max.any():
-            q = q - _FACE_NUDGE * on_min + _FACE_NUDGE * on_max
+    pb = p[..., None, :]
+    touching = np.all((pb >= mn - _FACE_TOL) & (pb <= mx + _FACE_TOL), axis=-1)
+    for b in np.nonzero(touching.any(axis=tuple(range(p.ndim - 1))))[0]:
+        on_min = (np.abs(p - mn[b]) <= _FACE_TOL) & touching[..., b, None]
+        on_max = (np.abs(p - mx[b]) <= _FACE_TOL) & touching[..., b, None]
+        q = q - _FACE_NUDGE * on_min + _FACE_NUDGE * on_max
     return q
 
 
-def _segment_blocked(a: np.ndarray, b: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> bool:
-    """True if the open segment a-b crosses any box with positive length."""
-    if mn.shape[0] == 0:
-        return False
+def los_clear_many(a, b, scene: Scene) -> np.ndarray:
+    """Whether each segment a-b is free of building blockage.
+
+    a and b are (..., 3) endpoint arrays that broadcast against each other;
+    the result has their broadcast shape.  Total: coincident endpoints are
+    trivially clear, endpoints on facades look past their own face, and
+    grazing contact does not block.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    coincident = np.all(a == b, axis=-1)
+    mn, mx = scene._boxes
+    a = _nudged(a, mn, mx)[..., None, :]
+    b = _nudged(b, mn, mx)[..., None, :]
     d = b - a
-    n_boxes = mn.shape[0]
-    t_lo = np.zeros(n_boxes)
-    t_hi = np.ones(n_boxes)
-    alive = np.ones(n_boxes, dtype=bool)
-    for ax in range(3):
-        if abs(d[ax]) > 1e-15:
-            t1 = (mn[:, ax] - a[ax]) / d[ax]
-            t2 = (mx[:, ax] - a[ax]) / d[ax]
-            lo = np.minimum(t1, t2)
-            hi = np.maximum(t1, t2)
-            t_lo = np.maximum(t_lo, lo)
-            t_hi = np.minimum(t_hi, hi)
-        else:
+    t_lo = np.zeros(1)
+    t_hi = np.ones(1)
+    alive = np.ones(1, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ax in range(3):
+            slab = np.abs(d[..., ax]) > 1e-15
+            t1 = (mn[:, ax] - a[..., ax]) / d[..., ax]
+            t2 = (mx[:, ax] - a[..., ax]) / d[..., ax]
+            t_lo = np.where(slab, np.maximum(t_lo, np.minimum(t1, t2)), t_lo)
+            t_hi = np.where(slab, np.minimum(t_hi, np.maximum(t1, t2)), t_hi)
             # Segment runs parallel to this slab; it can only pass through
             # boxes it is strictly inside of along this axis.
-            alive &= (a[ax] > mn[:, ax]) & (a[ax] < mx[:, ax])
-    return bool(np.any(alive & (t_hi - t_lo > _BLOCK_EPS)))
-
-
-def los_clear(a, b, scene: Scene) -> bool:
-    """Whether the segment between a and b is free of building blockage.
-
-    Total: coincident endpoints are trivially clear, endpoints on facades
-    look past their own face, and grazing contact does not block.
-    """
-    pa = _point(a)
-    pb = _point(b)
-    if np.array_equal(pa, pb):
-        return True
-    mn, mx = scene._boxes
-    pa = _nudged_endpoint(pa, mn, mx)
-    pb = _nudged_endpoint(pb, mn, mx)
-    return not _segment_blocked(pa, pb, mn, mx)
+            alive = alive & (slab | ((a[..., ax] > mn[:, ax]) & (a[..., ax] < mx[:, ax])))
+    blocked = np.any(alive & (t_hi - t_lo > _BLOCK_EPS), axis=-1)
+    return coincident | ~blocked
 
 
 def link_geometry(
@@ -314,14 +306,12 @@ def filter_candidates_by_ap_los(
     preserved, so the operation is idempotent apart from the renumbering.
     """
     ap = np.asarray(scene.ap_position)
+    los = los_clear_many(ap, np.reshape([s.position for s in spots], (-1, 3)), scene)
     kept = []
-    for s in spots:
+    for s, clear in zip(spots, los.tolist()):
         to_ap = ap - np.asarray(s.position)
-        if float(np.dot(np.asarray(s.facet_normal), to_ap)) <= 0.0:
-            continue
-        if not los_clear(scene.ap_position, s.position, scene):
-            continue
-        kept.append(replace(s, id=len(kept)))
+        if clear and float(np.dot(np.asarray(s.facet_normal), to_ap)) > 0.0:
+            kept.append(replace(s, id=len(kept)))
     return kept
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkStats, leg_stats
-from .geometry import CandidateSpot, Scene, los_clear
+from .geometry import CandidateSpot, Scene, los_clear_many
 from .link import PowerBudget, fairness_index, rate_and_snr_db, snr_series
 from .patterns import ApArrayPattern, ErpModel
 from .seeds import STREAM_DIRECT, STREAM_FADING
@@ -463,22 +463,18 @@ def link_stats_grid(
     ap_pattern: ApArrayPattern,
     erp: ErpModel,
     f_c_ghz: float,
-    *,
-    pool=None,
-    blocks: int = 1,
 ) -> StatsGrid:
     """Fading statistics of every AP-UE, AP-spot and spot-UE leg.
 
     LoS is taken from the scene geometry; the direct and incident legs are
-    shared across pairs, so they are computed once per UE / per spot.  The
-    spot-UE legs run in ``blocks`` contiguous blocks of UE rows, on ``pool``
-    (a concurrent.futures executor) when one is given; the result does not
-    depend on either.
+    shared across pairs, so they are computed once per UE / per spot.
     """
     ap = scene.ap_position
+    pos = np.reshape([s.position for s in spots], (-1, 3))
+    direct_los = los_clear_many(ap, np.reshape(scene.ues, (-1, 3)), scene).tolist()
     direct = tuple(
-        leg_stats("ap_ue", ap, ue, f_c_ghz, los_clear(ap, ue, scene), ap_pattern=ap_pattern)
-        for ue in scene.ues
+        leg_stats("ap_ue", ap, ue, f_c_ghz, los, ap_pattern=ap_pattern)
+        for ue, los in zip(scene.ues, direct_los)
     )
     ap_irs = tuple(
         leg_stats(
@@ -486,45 +482,23 @@ def link_stats_grid(
             ap,
             s.position,
             f_c_ghz,
-            los_clear(ap, s.position, scene),
+            los,
             ap_pattern=ap_pattern,
             erp=erp,
             normal=s.facet_normal,
         )
-        for s in spots
+        for s, los in zip(spots, los_clear_many(ap, pos, scene).tolist())
     )
-    rows = _row_blocks(scene.num_ues, blocks)
-    parts = _map_blocks(
-        pool, _irs_ue_rows, [(scene, spots, erp, f_c_ghz, lo, hi) for lo, hi in rows]
-    )
-    irs_ue = tuple(row for part in parts for row in part)
-    return StatsGrid(direct=direct, ap_irs=ap_irs, irs_ue=irs_ue)
-
-
-def _irs_ue_rows(
-    scene: Scene,
-    spots: list[CandidateSpot],
-    erp: ErpModel,
-    f_c_ghz: float,
-    lo: int,
-    hi: int,
-) -> list[tuple[LinkStats, ...]]:
-    """Spot-UE legs of UEs lo..hi-1, one tuple over all spots per UE."""
-    return [
+    # One LoS call per UE row: a single (UE, spot, box) call would hold
+    # several MiB of temporaries on the wide scenes.
+    irs_ue = tuple(
         tuple(
-            leg_stats(
-                "irs_ue",
-                ue,
-                s.position,
-                f_c_ghz,
-                los_clear(s.position, ue, scene),
-                erp=erp,
-                normal=s.facet_normal,
-            )
-            for s in spots
+            leg_stats("irs_ue", ue, s.position, f_c_ghz, los, erp=erp, normal=s.facet_normal)
+            for s, los in zip(spots, los_clear_many(pos, ue, scene).tolist())
         )
-        for ue in scene.ues[lo:hi]
-    ]
+        for ue in scene.ues
+    )
+    return StatsGrid(direct=direct, ap_irs=ap_irs, irs_ue=irs_ue)
 
 
 def build_metric_matrices(

@@ -24,6 +24,8 @@ from .planner import (
     MetricMatrix,
     PlanProblem,
     PlanSolution,
+    _greedy,
+    _solution,
     build_metric_matrices,
     direct_only_metrics,
     evaluate_plan,
@@ -62,7 +64,7 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
     direct AP-UE link is not.  All variants at one distance share fading
     draws (and element draws are prefix-consistent across element counts),
     while the no-surface baseline uses a distance-independent stream, so
-    its row is constant across the sweep.
+    its row is computed once and repeated at every distance.
     """
     sweep = cfg.sweep
     budget = cfg.budget()
@@ -74,27 +76,34 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
     stats_d = leg_stats("ap_ue", ap, ue, f_c, False, ap_pattern=ap_pattern)
 
     variants = [(label, *parse_variant(label)) for label in sweep.variants]
+    if any(mode == "none" for _, mode, _, _ in variants):
+        ap_only = rate_and_snr_db(
+            snr_series(
+                stats_d,
+                None,
+                None,
+                0,
+                budget,
+                n_mc=sweep.n_mc,
+                seed_path=(cfg.master_seed, STREAM_DIRECT, 0),
+                modes=("passive",),
+            )["passive"]
+        )
     rows = []
     for pi, r_ai in enumerate(sweep.r_ai_m):
         spot = (float(r_ai), sweep.irs_y, sweep.irs_z)
         for label, mode, n_elements, q in variants:
             if mode == "none":
-                series = snr_series(
-                    stats_d,
-                    None,
-                    None,
-                    0,
-                    budget,
-                    n_mc=sweep.n_mc,
-                    seed_path=(cfg.master_seed, STREAM_DIRECT, 0),
-                    modes=("passive",),
-                )["passive"]
+                rate, avg_db = ap_only
             else:
                 erp = ErpModel(q)
-                stats_i = leg_stats(
-                    "ap_irs", ap, spot, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
-                )
-                stats_r = leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal)
+                try:
+                    stats_i = leg_stats(
+                        "ap_irs", ap, spot, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
+                    )
+                    stats_r = leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal)
+                except ValueError as exc:  # the surface on or straight above an end
+                    raise ConfigError(f"sweep.r_ai_m[{pi}]: surface at {spot}: {exc}") from exc
                 series = snr_series(
                     stats_d,
                     stats_i,
@@ -105,7 +114,7 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
                     seed_path=(cfg.master_seed, STREAM_FADING, 0, pi),
                     modes=(mode,),
                 )[mode]
-            rate, avg_db = rate_and_snr_db(series)
+                rate, avg_db = rate_and_snr_db(series)
             rows.append(
                 {
                     "r_ai_m": float(r_ai),
@@ -132,13 +141,17 @@ def candidate_spots(cfg: ScenarioConfig, scene) -> list:
 
 def scene_and_spots(cfg: ScenarioConfig) -> tuple:
     """The scene and its candidate spots; a ConfigError when the layout has
-    no scene or no spot survives."""
+    no scene, no spot survives or a UE lies on a spot."""
     scene = build_scene(cfg)
     if scene is None:
         raise ConfigError("layout.kind: 'none' has no scene, so no spots")
     spots = candidate_spots(cfg, scene)
     if not spots:
         raise ConfigError("layout: no spots survive AP visibility filtering")
+    on_spot = {s.position: s.id for s in spots}
+    for i, ue in enumerate(scene.ues):
+        if ue in on_spot:
+            raise ConfigError(f"layout.ues_xy[{i}]: the UE lies on candidate spot {on_spot[ue]}")
     return scene, spots
 
 
@@ -150,13 +163,14 @@ def pool_cores() -> int:
 
 # Runs with fewer (UE, spot, MC draw) triples than this stay serial: there
 # the pool's import, start and shutdown (20-50 ms on a 2-core VM) cost more
-# than a second worker saves on the stats grid and the MC matrices.
+# than a second worker saves on the MC matrices.
 POOL_MIN_WORK = 8192
 
 
 def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
-    """Pool size of a run: every usable core, capped at the UE rows there are
-    to split, and 1 (serial) for runs too small to pay for a pool."""
+    """Pool size of a run's MC matrices: every usable core, capped at the UE
+    rows there are to split, and 1 (serial) for runs too small to pay for a
+    pool."""
     if num_ues * num_spots * n_mc < POOL_MIN_WORK:
         return 1
     return max(1, min(cores, num_ues))
@@ -236,14 +250,13 @@ def _plan_entry(
 
 def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, element_counts, modes):
     """MC metric matrices per element count and the no-surface baseline
-    (rates, avg SNR dB), built with the stats grid on one pool of worker
-    processes (see worker_count); the results do not depend on its size."""
+    (rates, avg SNR dB).  The stats grid is built in this process, then the
+    matrices on one pool of worker processes (see worker_count); the results
+    do not depend on its size."""
     budget = cfg.budget()
+    grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
     workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
     with _fork_pool(workers) as pool:
-        grid = link_stats_grid(
-            scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz, pool=pool, blocks=workers
-        )
         matrices = {
             n: build_metric_matrices(
                 grid,
@@ -380,8 +393,6 @@ def _extend_plan(problem: PlanProblem, prev: PlanSolution) -> PlanSolution:
     Coverage values are 0/1, so the column-wise means that pick each
     addition equal the canonical objective exactly.
     """
-    from .planner import _greedy, _solution
-
     v = problem.values()
     j = problem.num_surfaces
     chosen = list(prev.chosen_spots)

@@ -13,8 +13,11 @@ float equality with enumeration, which requires the same reduction order.
 The enumeration itself (visit every subset, keep the first strict
 improvement) shares no code with the solvers.
 
-The scalar twins and the link-metric helpers at the end are the two
-exceptions.  The twins (``sample_fading``, ``IrsUnit``,
+The scalar line-of-sight test ``los_clear``, the scalar twins and the
+link-metric helpers at the end are the three exceptions.  ``los_clear``
+runs the slab arithmetic of ``geometry.los_clear_many`` one pair at a
+time with its tolerances, so the two must agree on every boolean; the
+sampled ``segment_hits_box_interior`` is the independent check.  The twins (``sample_fading``, ``IrsUnit``,
 ``optimal_amplification``, ``snr_optimal``) state one draw series or one
 fading realization in scalar terms on top of irsplan's own Rician sampler
 (``rician_amplitudes``) and SNR closed form (``snr_from_sums``), so checks
@@ -36,6 +39,7 @@ from scipy.integrate import quad, trapezoid
 from scipy.special import i0e
 
 from irsplan.channel import rician_amplitudes
+from irsplan.geometry import _BLOCK_EPS, _FACE_NUDGE, _FACE_TOL
 from irsplan.link import MODES, rate_and_snr_db, snr_from_sums, snr_series
 from irsplan.patterns import ErpModel
 
@@ -236,6 +240,62 @@ def segment_hits_box_interior(a, b, min_corner, max_corner, samples=512) -> bool
     pts = a[None, :] + t[:, None] * (b - a)[None, :]
     inside = np.all((pts > mn + 1e-9) & (pts < mx - 1e-9), axis=1)
     return bool(inside.any())
+
+
+def _nudged_endpoint(p: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """Push p outward off every building face it lies on (within tolerance)."""
+    if mn.shape[0] == 0:
+        return p
+    q = p.copy()
+    touching = np.all((p >= mn - _FACE_TOL) & (p <= mx + _FACE_TOL), axis=1)
+    for b in np.nonzero(touching)[0]:
+        on_min = np.abs(p - mn[b]) <= _FACE_TOL
+        on_max = np.abs(p - mx[b]) <= _FACE_TOL
+        if on_min.any() or on_max.any():
+            q = q - _FACE_NUDGE * on_min + _FACE_NUDGE * on_max
+    return q
+
+
+def _segment_blocked(a: np.ndarray, b: np.ndarray, mn: np.ndarray, mx: np.ndarray) -> bool:
+    """True if the open segment a-b crosses any box with positive length."""
+    if mn.shape[0] == 0:
+        return False
+    d = b - a
+    n_boxes = mn.shape[0]
+    t_lo = np.zeros(n_boxes)
+    t_hi = np.ones(n_boxes)
+    alive = np.ones(n_boxes, dtype=bool)
+    for ax in range(3):
+        if abs(d[ax]) > 1e-15:
+            t1 = (mn[:, ax] - a[ax]) / d[ax]
+            t2 = (mx[:, ax] - a[ax]) / d[ax]
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
+            t_lo = np.maximum(t_lo, lo)
+            t_hi = np.minimum(t_hi, hi)
+        else:
+            # Segment runs parallel to this slab; it can only pass through
+            # boxes it is strictly inside of along this axis.
+            alive &= (a[ax] > mn[:, ax]) & (a[ax] < mx[:, ax])
+    return bool(np.any(alive & (t_hi - t_lo > _BLOCK_EPS)))
+
+
+def los_clear(a, b, scene) -> bool:
+    """Scalar reference of ``geometry.los_clear_many`` for one pair: the same
+    tolerances, nudges and slab arithmetic, one segment at a time.
+
+    Total: coincident endpoints are trivially clear, endpoints on facades
+    look past their own face, and grazing contact does not block.
+    """
+    pa = np.asarray(a, dtype=float)
+    pb = np.asarray(b, dtype=float)
+    if np.array_equal(pa, pb):
+        return True
+    mn = np.array([bld.min_corner for bld in scene.buildings], dtype=float).reshape(-1, 3)
+    mx = np.array([bld.max_corner for bld in scene.buildings], dtype=float).reshape(-1, 3)
+    pa = _nudged_endpoint(pa, mn, mx)
+    pb = _nudged_endpoint(pb, mn, mx)
+    return not _segment_blocked(pa, pb, mn, mx)
 
 
 # --- scalar twins (on irsplan's sampler and closed form) ------------------

@@ -105,6 +105,8 @@ def _with(override: dict, base: dict = TINY) -> dict:
         ({"layout": {"ue_height": 30.0}}, [], "layout.ue_height"),      # above the AP
         ({"sweep": {"variants": ["foo"]}}, [], "sweep.variants"),
         ({"rf": {"noise_psd_dbm_hz": 4000.0}}, [], "rf.noise_psd_dbm_hz"),  # overflows watts
+        # on candidate spot 0 of the building's -x face
+        ({"layout": {"ues_xy": [[0.0, -40.0], [20.0, -15.0]], "ue_height": 8.5}}, [], "layout.ues_xy[1]"),
     ],
 )
 def test_bad_model_inputs_name_their_field(tmp_path, capsys, override, extra, field):
@@ -246,6 +248,21 @@ def test_link_sweep_rows_and_determinism(tiny_cfg, tmp_path):
     assert [r["mode"] for r in active] == ["active", "active"]
     assert all(int(r["n_elements"]) == 8 for r in active)
     assert all(float(r["ergodic_rate_bps_hz"]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "irs_xyz",
+    [(0.0, 0.0, 25.0), (250.0, 0.0, 1.5), (0.0, 0.0, 40.0)],
+    ids=["on_the_ap", "on_the_ue", "straight_above_the_ap"],
+)
+def test_link_sweep_surface_at_a_link_end_names_its_distance(tmp_path, capsys, irs_xyz):
+    # the AP stands at (0, 0, 25) and the sweep's UE at (250, 0, 1.5)
+    r_ai, irs_y, irs_z = irs_xyz
+    sweep = {"r_ai_m": [50.0, r_ai], "irs_y": irs_y, "irs_z": irs_z}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_with({"sweep": sweep})), encoding="utf-8")
+    assert main(["link-sweep", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert "config error: sweep.r_ai_m[1]:" in capsys.readouterr().err
 
 
 def test_parse_variant_labels():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,11 +16,14 @@ from irsplan.geometry import (
     filter_candidates_by_ap_los,
     generate_candidate_spots,
     link_geometry,
-    los_clear,
+    los_clear_many,
     scatter_street_points,
 )
 
-from oracles import segment_hits_box_interior
+from irsplan.config import experiment_preset
+from irsplan.presets import build_scene
+
+from oracles import los_clear, segment_hits_box_interior
 
 AP = (0.0, 0.0, 25.0)
 
@@ -102,49 +105,49 @@ def test_scene_rejects_bad_ues():
 # --- line of sight ----------------------------------------------------------
 
 def test_los_empty_scene_is_clear():
-    assert los_clear(AP, (100.0, 0.0, 1.5), empty_scene())
+    assert los_clear_many(AP, (100.0, 0.0, 1.5), empty_scene())
 
 
 def test_los_blocked_through_interior():
-    assert not los_clear(AP, (100.0, 0.0, 1.5), one_block_scene())
+    assert not los_clear_many(AP, (100.0, 0.0, 1.5), one_block_scene())
 
 
 def test_los_own_face_does_not_block():
     # endpoint mounted on the x=40 face, looking back toward the AP
     scene = one_block_scene()
-    assert los_clear((40.0, 0.0, 10.0), AP, scene)
+    assert los_clear_many((40.0, 0.0, 10.0), AP, scene)
     # the same mount point looking the other way must cross the interior
-    assert not los_clear((40.0, 0.0, 10.0), (100.0, 0.0, 10.0), scene)
+    assert not los_clear_many((40.0, 0.0, 10.0), (100.0, 0.0, 10.0), scene)
 
 
 def test_los_grazing_face_stays_clear():
     # segment running exactly along the x=40 plane touches, never enters
     scene = one_block_scene()
-    assert los_clear((40.0, -50.0, 5.0), (40.0, 50.0, 5.0), scene)
+    assert los_clear_many((40.0, -50.0, 5.0), (40.0, 50.0, 5.0), scene)
 
 
 def test_los_over_the_roof():
     scene = one_block_scene(height=12.0)
-    assert los_clear(AP, (100.0, 0.0, 14.0), scene)
-    assert not los_clear(AP, (100.0, 0.0, 1.5), scene)
+    assert los_clear_many(AP, (100.0, 0.0, 14.0), scene)
+    assert not los_clear_many(AP, (100.0, 0.0, 1.5), scene)
 
 
 def test_los_coincident_endpoints_clear():
-    assert los_clear((50.0, 0.0, 5.0), (50.0, 0.0, 5.0), one_block_scene())
+    assert los_clear_many((50.0, 0.0, 5.0), (50.0, 0.0, 5.0), one_block_scene())
 
 
 @settings(max_examples=150, deadline=None)
 @given(a=point, b=point, buildings=boxes_strategy())
 def test_los_symmetry(a, b, buildings):
     scene = scene_of(buildings)
-    assert los_clear(a, b, scene) == los_clear(b, a, scene)
+    assert los_clear_many(a, b, scene) == los_clear_many(b, a, scene)
 
 
 @settings(max_examples=150, deadline=None)
 @given(a=point, b=point, buildings=boxes_strategy(), extra=boxes_strategy(max_boxes=1))
 def test_los_monotone_under_added_buildings(a, b, buildings, extra):
-    before = los_clear(a, b, scene_of(buildings))
-    after = los_clear(a, b, scene_of(list(buildings) + list(extra)))
+    before = los_clear_many(a, b, scene_of(buildings))
+    after = los_clear_many(a, b, scene_of(list(buildings) + list(extra)))
     if not before:
         assert not after
 
@@ -159,7 +162,56 @@ def test_los_sampled_interior_oracle(a, b, buildings):
         for bld in buildings
     )
     if hit:
-        assert not los_clear(a, b, scene)
+        assert not los_clear_many(a, b, scene)
+
+
+def test_los_clear_many_equals_scalar_oracle_on_split_1024():
+    # the AP legs to every raw facade spot and UE, and the spot-UE legs of
+    # the first 20 UEs, in the argument order link_stats_grid uses
+    cfg = experiment_preset("split_1024")
+    scene = build_scene(cfg)
+    lay = cfg.layout
+    raw = generate_candidate_spots(scene, lay.grid_w, lay.grid_h, lay.min_mount_height)
+    pos = np.array([s.position for s in raw])
+    ap = scene.ap_position
+    for pts in (pos, np.array(scene.ues)):
+        assert los_clear_many(ap, pts, scene).tolist() == [los_clear(ap, p, scene) for p in pts]
+    for ue in scene.ues[:20]:
+        assert los_clear_many(pos, ue, scene).tolist() == [los_clear(p, ue, scene) for p in pos]
+
+
+# Two boxes sharing part of the x = 10 face.  Coordinates snap to their
+# planes (or to within the face tolerance of them) or to points off them,
+# and the second endpoint is free, coincident, or the first with one
+# coordinate redrawn, so segments start and run on faces, edges and corners
+# of one or both boxes.
+SHARED_FACE = scene_of(
+    [Building((0.0, 0.0, 0.0), (10.0, 10.0, 10.0)), Building((10.0, -5.0, 0.0), (20.0, 5.0, 15.0))]
+)
+snap_coord = st.sampled_from(
+    [v + o for v in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0) for o in (0.0, -5e-10, 5e-10)]
+    + [-8.0, 2.5, 7.5, 12.5, 22.5]
+)
+snap_point = st.tuples(snap_coord, snap_coord, snap_coord)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(snap_point, snap_point, st.integers(-2, 2)), min_size=1, max_size=7))
+# on the shared face's top edge, where both boxes nudge the endpoint; and a
+# point on both boxes beside a segment down the plane x = 10 below them,
+# whose lower end lies on that plane but off both boxes, so stays put
+@example(pairs=[((10.0, 0.0, 10.0 - 5e-10), (0.0, 20.0 - 5e-10, 0.0), 1)])
+@example(pairs=[((10.0, 2.5, 5.0), (0.0, 0.0, 0.0), -1), ((10.0, 5.0, 15.0), (0.0, 0.0, -5.0 - 5e-10), 2)])
+def test_los_clear_many_equals_scalar_oracle_on_shared_faces(pairs):
+    a = np.array([p for p, _, _ in pairs])
+    b = a.copy()
+    for i, (_, q, how) in enumerate(pairs):
+        if how == -2:  # free
+            b[i] = q
+        elif how >= 0:  # redraw one coordinate; -1 keeps b coincident
+            b[i, how] = q[how]
+    expected = [los_clear(x, y, SHARED_FACE) for x, y in zip(a, b)]
+    assert los_clear_many(a, b, SHARED_FACE).tolist() == expected
 
 
 # --- link geometry ----------------------------------------------------------
@@ -286,7 +338,7 @@ def test_filter_keeps_front_lit_visible_spots():
     for s in kept:
         to_ap = np.subtract(AP, s.position)
         assert float(np.dot(s.facet_normal, to_ap)) > 0.0
-        assert los_clear(AP, s.position, scene)
+        assert los_clear_many(AP, s.position, scene)
     # the +x face points away from the AP at x=0; none of it survives
     assert all(s.facet_normal[0] <= 0.0 or s.position[0] < 60.0 for s in kept)
     far_face = [s for s in spots if s.facet_normal == (1.0, 0.0, 0.0)]
@@ -318,7 +370,7 @@ def test_filter_blocked_front_spot_removed():
     kept_pos = {s.position for s in kept}
     assert kept_pos == {s.position for s in front if s.position[2] > 10.0}
     for s in kept:
-        assert los_clear(AP, s.position, scene)
+        assert los_clear_many(AP, s.position, scene)
 
 
 # --- street scatter ---------------------------------------------------------
