@@ -26,7 +26,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import link_stats
 from .config import (
     PRESETS,
     ConfigError,

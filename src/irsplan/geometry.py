@@ -8,6 +8,11 @@ edge or corner keep line of sight.  Endpoints that lie exactly on a face
 along the face normal before testing, which keeps the test total and makes
 links leaving a facade see past their own building.  The test
 (los_clear_many) runs on arrays of segments against all boxes at once.
+
+Points are checked once, where they enter: Building and Scene refuse
+anything but finite 3D points.  link_geometry runs once per leg of the
+stats grid and trusts its points and unit facet normals; it refuses only
+coincident end points, which a sweep surface placed on a link end reaches.
 """
 
 from __future__ import annotations
@@ -196,13 +201,17 @@ def link_geometry(
 ) -> LinkGeometry:
     """Distances and antenna angles for the link from a to b.
 
+    a and b are finite 3D points and target_normal, when given, is a unit
+    vector, all unchecked: callers pass points of a validated Scene, spot
+    centers or the sweep's float-coerced positions, and the unit normals of
+    _FACES or the sweep's (0, -1, 0).  End points whose distance is zero
+    (or underflows to zero) are refused with a ValueError.
+
     Pass target_normal when b is a facade-mounted surface; the polar angle
     stays None otherwise.  source_tilt_deg is accepted and unused: the AP
     pattern is evaluated at the depression angle itself.
     """
-    pa = _point(a)
-    pb = _point(b)
-    v = pb - pa
+    v = np.subtract(b, a, dtype=float)
     d3 = float(np.linalg.norm(v))
     if d3 <= 0.0:
         raise ValueError("link endpoints must be distinct")
@@ -211,13 +220,8 @@ def link_geometry(
 
     polar = None
     if target_normal is not None:
-        n = _point(target_normal)
-        nn = np.linalg.norm(n)
-        if nn <= 0:
-            raise ValueError("target_normal must be nonzero")
-        n = n / nn
         u = -v / d3  # direction from b back toward a
-        cos_polar = float(np.clip(np.dot(u, n), -1.0, 1.0))
+        cos_polar = float(np.clip(np.dot(u, target_normal), -1.0, 1.0))
         polar = math.degrees(math.acos(cos_polar))
 
     return LinkGeometry(

@@ -29,15 +29,6 @@ import numpy as np
 _QUAD_STEP_DEG = 0.02
 
 
-def _as_angles(theta_deg, lo: float, hi: float, name: str) -> np.ndarray:
-    th = np.asarray(theta_deg, dtype=float)
-    if np.any(~np.isfinite(th)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(th < lo) or np.any(th > hi):
-        raise ValueError(f"{name} must lie in [{lo}, {hi}] degrees, got {theta_deg!r}")
-    return th
-
-
 def _scalar_like(value: np.ndarray, template) -> float | np.ndarray:
     if np.ndim(template) == 0:
         return float(value)
@@ -63,27 +54,22 @@ class ErpModel:
 
     @property
     def max_gain(self) -> float:
-        """Peak power gain 2*(q+1), linear."""
-        return erp_gain_from_exponent(self.exponent)
+        """Peak power gain 2*(q+1), linear.
 
-
-def erp_gain_from_exponent(exponent: float) -> float:
-    """Peak gain of the cos^q element pattern, linear scale.
-
-    Follows from (1/4pi) * integral of G*cos(theta)^q over the front
-    hemisphere being 1.
-    """
-    if not (exponent >= 0 and math.isfinite(exponent)):
-        raise ValueError("exponent must be a finite value >= 0")
-    return 2.0 * (exponent + 1.0)
+        Follows from (1/4pi) * integral of G*cos(theta)^q over the front
+        hemisphere being 1.
+        """
+        return 2.0 * (self.exponent + 1.0)
 
 
 def erp_value(model: ErpModel, theta_deg) -> float | np.ndarray:
     """Normalized element pattern at polar angle theta in [0, 180] degrees.
 
-    cos(theta)^q for theta <= 90, exactly 0 behind the surface.
+    cos(theta)^q for theta <= 90, exactly 0 behind the surface.  theta is
+    not checked: the stats grid passes math.acos outputs, which lie in
+    [0, 180], and pattern-dump passes |theta| <= 89.5.
     """
-    th = _as_angles(theta_deg, 0.0, 180.0, "theta_deg")
+    th = np.asarray(theta_deg, dtype=float)
     c = np.cos(np.radians(th))
     front = th <= 90.0
     # 0**0 == 1 keeps q=0 hemispherically flat including theta=90.

@@ -11,7 +11,7 @@ seed, so a layout is a pure function of its configuration.
 
 from __future__ import annotations
 
-from .config import ConfigError, LayoutConfig, ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .geometry import Building, Scene, scatter_street_points
 from .seeds import STREAM_HEIGHTS, STREAM_UES, substream
 

@@ -35,7 +35,7 @@ from .planner import (
     solve_greedy_swap,
 )
 from .presets import build_scene
-from .seeds import STREAM_DIRECT, STREAM_FADING
+from .seeds import STREAM_FADING
 
 def _solve(problem: PlanProblem, solver: str, node_budget: int) -> PlanSolution:
     if solver == "greedy":
@@ -77,18 +77,8 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
 
     variants = [(label, *parse_variant(label)) for label in sweep.variants]
     if any(mode == "none" for _, mode, _, _ in variants):
-        ap_only = rate_and_snr_db(
-            snr_series(
-                stats_d,
-                None,
-                None,
-                0,
-                budget,
-                n_mc=sweep.n_mc,
-                seed_path=(cfg.master_seed, STREAM_DIRECT, 0),
-                modes=("passive",),
-            )["passive"]
-        )
+        rates, snr_db = direct_only_metrics((stats_d,), budget, sweep.n_mc, cfg.master_seed)
+        ap_only = float(rates[0]), float(snr_db[0])
     rows = []
     for pi, r_ai in enumerate(sweep.r_ai_m):
         spot = (float(r_ai), sweep.irs_y, sweep.irs_z)

@@ -173,3 +173,25 @@ def test_every_defaulted_parameter_is_passed():
         if name in dead.get(id(node), set())
     ]
     assert not unpassed, "parameters no call passes: " + ", ".join(unpassed)
+
+
+def _imported(tree: ast.Module):
+    """(line, bound name) of each import statement at module level;
+    from __future__ imports bind nothing the module reads."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for line, name in _imported(tree) if name not in used
+        ]
+    assert not unused, "imported and never used: " + ", ".join(unused)

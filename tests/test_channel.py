@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from irsplan.channel import (
-    LinkStats,
     adjust_stats_ap_irs,
     adjust_stats_ap_ue,
     adjust_stats_irs_ue,
