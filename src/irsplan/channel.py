@@ -68,14 +68,10 @@ def pathloss_uma(
 
     Dual-slope LoS model with the standard breakpoint
     d_bp = 4 (h_tx - 1)(h_rx - 1) f_c / c; the NLoS loss is floored by the
-    LoS loss at the same geometry.  No shadow fading term.
+    LoS loss at the same geometry.  No shadow fading term.  Takes
+    dist_3d > 0 and dist_2d >= 0 from link_geometry and f_c_ghz > 0 from
+    ScenarioConfig.
     """
-    if not (dist_3d > 0):
-        raise ValueError("dist_3d must be positive")
-    if not (dist_2d >= 0):
-        raise ValueError("dist_2d must be >= 0")
-    if not (f_c_ghz > 0):
-        raise ValueError("f_c_ghz must be positive")
     lf = 20.0 * math.log10(f_c_ghz)
     pl1 = 28.0 + 22.0 * math.log10(dist_3d) + lf
     h_tx_eff = h_tx - 1.0
@@ -106,8 +102,6 @@ def rician_k_isotropic(dist_3d: float, los: bool) -> float:
 
     NLoS links are pure Rayleigh (K = 0).
     """
-    if dist_3d < 0:
-        raise ValueError("dist_3d must be >= 0")
     if not los:
         return 0.0
     return 10.0 ** ((13.0 - 0.03 * dist_3d) / 10.0)
@@ -115,7 +109,7 @@ def rician_k_isotropic(dist_3d: float, los: bool) -> float:
 
 def rician_adjustment(
     k_factor: float, los_product: float, e_tx: float, e_rx: float
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """Fold pattern gains into the Rician law of one link.
 
     Parameters
@@ -126,26 +120,18 @@ def rician_adjustment(
         Product of the realized gains G*F along the deterministic ray.
     e_tx, e_rx : float
         Pattern-averaged gains of the two ends, weighting the scattered
-        power.
+        power; positive (ScenarioConfig checks the AP's).
 
     Returns
     -------
-    (g_k, rho, e_nlos) : tuple of float
-        K-factor gain, mean fading power, scattered-component power.
-        For unit gains on both ends this is exactly (1, 1, e_tx*e_rx/(K+1))
-        complement, i.e. the isotropic law is recovered.
+    (g_k, rho) : tuple of float
+        K-factor gain and mean fading power.  For unit gains on both ends
+        this is exactly (1, 1), i.e. the isotropic law is recovered.
     """
-    if k_factor < 0:
-        raise ValueError("k_factor must be >= 0")
-    if los_product < 0:
-        raise ValueError("los_product must be >= 0")
-    if not (e_tx > 0 and e_rx > 0):
-        raise ValueError("averaged gains must be positive")
     e_prod = e_tx * e_rx
-    e_nlos = e_prod / (k_factor + 1.0)
     g_k = los_product / e_prod
-    rho = (k_factor / (k_factor + 1.0)) * los_product + e_nlos
-    return g_k, rho, e_nlos
+    rho = (k_factor / (k_factor + 1.0)) * los_product + e_prod / (k_factor + 1.0)
+    return g_k, rho
 
 
 def adjust_stats_ap_irs(
@@ -154,8 +140,8 @@ def adjust_stats_ap_irs(
     erp: ErpModel,
     depression_deg: float,
     arrival_polar_deg: float,
-) -> tuple[float, float, float]:
-    """(G_K, rho, E_NLoS) for the AP-to-surface leg."""
+) -> tuple[float, float]:
+    """(G_K, rho) for the AP-to-surface leg."""
     los_product = (
         ap_pattern.peak_gain
         * ap_pattern_value(ap_pattern, depression_deg)
@@ -169,16 +155,16 @@ def adjust_stats_ap_irs(
 
 def adjust_stats_irs_ue(
     k_factor: float, erp: ErpModel, departure_polar_deg: float
-) -> tuple[float, float, float]:
-    """(G_K, rho, E_NLoS) for the surface-to-UE leg (isotropic UE)."""
+) -> tuple[float, float]:
+    """(G_K, rho) for the surface-to-UE leg (isotropic UE)."""
     los_product = erp.max_gain * erp_value(erp, departure_polar_deg)
     return rician_adjustment(k_factor, los_product, pattern_averaged_gain(erp), 1.0)
 
 
 def adjust_stats_ap_ue(
     k_factor: float, ap_pattern: ApArrayPattern, depression_deg: float
-) -> tuple[float, float, float]:
-    """(G_K, rho, E_NLoS) for the direct AP-to-UE link (isotropic UE)."""
+) -> tuple[float, float]:
+    """(G_K, rho) for the direct AP-to-UE link (isotropic UE)."""
     los_product = ap_pattern.peak_gain * ap_pattern_value(ap_pattern, depression_deg)
     return rician_adjustment(k_factor, los_product, pattern_averaged_gain(ap_pattern), 1.0)
 
@@ -205,11 +191,11 @@ def link_stats(
     g = pathloss_uma(dist_3d, dist_2d, h_tx, h_rx, f_c_ghz, los)
     k = rician_k_isotropic(dist_3d, los)
     if kind == "ap_irs":
-        g_k, rho, _ = adjust_stats_ap_irs(k, ap_pattern, erp, depression_deg, arrival_polar_deg)
+        g_k, rho = adjust_stats_ap_irs(k, ap_pattern, erp, depression_deg, arrival_polar_deg)
     elif kind == "irs_ue":
-        g_k, rho, _ = adjust_stats_irs_ue(k, erp, arrival_polar_deg)
+        g_k, rho = adjust_stats_irs_ue(k, erp, arrival_polar_deg)
     elif kind == "ap_ue":
-        g_k, rho, _ = adjust_stats_ap_ue(k, ap_pattern, depression_deg)
+        g_k, rho = adjust_stats_ap_ue(k, ap_pattern, depression_deg)
     else:
         raise ValueError(f"unknown link kind: {kind!r}")
     return LinkStats(g=g, k_factor=k, g_k=g_k, rho=rho, los=los)
@@ -251,9 +237,7 @@ def leg_stats(
 
 def rice_parameters(k_tilde: float) -> tuple[float, float]:
     """Deterministic amplitude nu and Gaussian scale sigma of a unit-power
-    Rician amplitude with factor k_tilde (nu^2 + 2 sigma^2 = 1)."""
-    if k_tilde < 0:
-        raise ValueError("k_tilde must be >= 0")
+    Rician amplitude with factor k_tilde >= 0 (nu^2 + 2 sigma^2 = 1)."""
     if math.isinf(k_tilde):
         return 1.0, 0.0
     nu = math.sqrt(k_tilde / (k_tilde + 1.0))

@@ -5,7 +5,8 @@ carrier, 200 kHz user bandwidth, -174 dBm/Hz receiver noise, -160 dBm/Hz
 amplifier noise, a 25 m AP serving 1.5 m UEs, 10 mW AP budget without a
 surface and 5 mW / 5 mW transmit/amplifier split with one.  Powers are
 given in dBm or mW in configs and converted to linear watts once, when the
-derived objects (PowerBudget, ApArrayPattern, ErpModel) are built.
+derived objects (PowerBudget, ApArrayPattern, ErpModel) are built.  Their
+values are checked here, and nowhere else, with the config field path.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 import types
@@ -21,8 +23,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .link import PowerBudget
-from .patterns import ApArrayPattern, ErpModel
+from .link import MODES, PowerBudget
+from .patterns import ApArrayPattern, ErpModel, pattern_averaged_gain
+from .planner import OBJECTIVES
 
 PRESETS = ("link_sweep", "medium_deploy", "split_1024", "widearea_coverage", "custom")
 SOLVERS = ("greedy", "bnb", "exact")
@@ -159,16 +162,12 @@ class ScenarioConfig:
         _positive = {
             "rf.f_c_ghz": self.rf.f_c_ghz,
             "rf.bandwidth_hz": self.rf.bandwidth_hz,
-            "power.p_total_mw": self.power.p_total_mw,
-            "power.p_tx_max_mw": self.power.p_tx_max_mw,
             "surface.amp_power_max_mw": self.surface.amp_power_max_mw,
             "layout.grid_w": self.layout.grid_w,
             "layout.grid_h": self.layout.grid_h,
             "layout.ue_height": self.layout.ue_height,
             "ap.height": self.ap.height,
             "ap.num_elements": self.ap.num_elements,
-            "ap.element_max_gain": self.ap.element_max_gain,
-            "ap.element_spacing_wavelengths": self.ap.element_spacing_wavelengths,
             "surface.n_elements": self.surface.n_elements,
             "surface.n_total": self.surface.n_total,
             "layout.num_ues": self.layout.num_ues,
@@ -220,26 +219,26 @@ class ScenarioConfig:
                     f"deploy.splits: {s} does not divide surface.n_total"
                     f" = {self.surface.n_total}"
                 )
-        if self.deploy.objective not in ("mean_ergodic_rate", "coverage_count"):
-            raise ConfigError("deploy.objective: unknown objective")
+        if self.deploy.objective not in OBJECTIVES:
+            raise ConfigError(f"deploy.objective: must be one of {OBJECTIVES}")
         for path, solver in (
             ("deploy.solver", self.deploy.solver),
             ("coverage.solver", self.coverage.solver),
         ):
             if solver not in SOLVERS:
                 raise ConfigError(f"{path}: must be one of {SOLVERS}")
-        for path, budget in (
+        for path, nodes in (
             ("deploy.node_budget", self.deploy.node_budget),
             ("coverage.node_budget", self.coverage.node_budget),
         ):
-            if budget < 1:
-                raise ConfigError(f"{path}: must be >= 1, got {budget!r}")
+            if nodes < 1:
+                raise ConfigError(f"{path}: must be >= 1, got {nodes!r}")
         for path, modes in (
             ("deploy.modes", self.deploy.modes),
             ("coverage.modes", self.coverage.modes),
         ):
             for mode in modes:
-                if mode not in ("active", "passive"):
+                if mode not in MODES:
                     raise ConfigError(f"{path}: unknown mode {mode!r}")
         for jv in self.coverage.num_surfaces:
             if jv < 1:
@@ -249,6 +248,25 @@ class ScenarioConfig:
                 parse_variant(label)
             except ValueError as exc:
                 raise ConfigError(f"sweep.variants: {exc}") from exc
+        # Figures the model objects take as given, once in SI units.
+        budget, ap = self.budget(), self.ap_pattern()
+        for path, what, value in (
+            ("rf.f_c_ghz", "wavelength in m", ap.wavelength),
+            ("ap.element_spacing_wavelengths", "element spacing in m", ap.element_spacing),
+            ("surface.erp_exponent", "element peak gain 2 (q + 1)", self.erp().max_gain),
+        ):
+            if not (0 < value < math.inf):
+                raise ConfigError(f"{path}: the {what} is {value!r}, must be finite and > 0")
+        for path, what, value in (
+            ("power.p_total_mw", "budget in W", budget.p_total),
+            ("power.p_tx_max_mw", "transmit cap in W", budget.p_tx_max),
+            ("rf.noise_psd_dbm_hz", "noise PSD in W/Hz", budget.noise_psd),
+            ("rf.bandwidth_hz", "noise power N0 B in W", budget.noise_power),
+            # quadrature over the array pattern, hence after the lengths
+            ("ap.element_max_gain", "average array gain", pattern_averaged_gain(ap)),
+        ):
+            if not (value > 0):
+                raise ConfigError(f"{path}: the {what} is {value!r}, must be > 0")
 
     # Derived model objects -------------------------------------------------
 
@@ -285,7 +303,10 @@ def parse_variant(label: str) -> tuple[str, int, float | None]:
         raise ValueError(
             f"unknown sweep variant {label!r}; expected e.g. 'active64_q1' or 'ap_only'"
         )
-    return m.group(1), int(m.group(2)), float(m.group(3))
+    q = float(m.group(3))
+    if math.isinf(ErpModel(q).max_gain):
+        raise ValueError(f"{label!r}: the peak gain 2 (q + 1) overflows")
+    return m.group(1), int(m.group(2)), q
 
 
 # Parsing ------------------------------------------------------------------

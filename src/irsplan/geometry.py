@@ -13,6 +13,9 @@ Points are checked once, where they enter: Building and Scene refuse
 anything but finite 3D points.  link_geometry runs once per leg of the
 stats grid and trusts its points and unit facet normals; it refuses only
 coincident end points, which a sweep surface placed on a link end reaches.
+Grid steps, mount heights and UE counts are checked by ScenarioConfig;
+what is left to refuse here is a facade grid too fine to enumerate and
+streets too small for their UEs.
 """
 
 from __future__ import annotations
@@ -260,31 +263,29 @@ def generate_candidate_spots(
     row-major from the bottom row up.  A grid of more than MAX_FACADE_CELLS
     cells is refused before any spot is built.
     """
-    if not (grid_w > 0 and grid_h > 0):
-        raise ValueError("grid_w and grid_h must be positive")
-    if min_mount_height < 0:
-        raise ValueError("min_mount_height must be >= 0")
+    # Rows and columns are counted as floats, so a step that overflows a
+    # count to inf is refused like any other grid too fine to enumerate.
     faces = []  # (building, face, fixed axis, normal, plane, width start, rows, cols)
     for bi, bld in enumerate(scene.buildings):
-        mn = np.asarray(bld.min_corner)
-        mx = np.asarray(bld.max_corner)
+        mn, mx = bld.min_corner, bld.max_corner
         usable_h = bld.height - min_mount_height
-        n_rows = int(math.floor(usable_h / grid_h + 1e-9)) if usable_h > 0 else 0
+        n_rows = float(np.floor(usable_h / grid_h + 1e-9)) if usable_h > 0 else 0.0
         for fi, (axis, side, normal) in enumerate(_FACES):
             wa = 1 - axis  # the face's width axis
-            n_cols = int(math.floor((mx[wa] - mn[wa]) / grid_w + 1e-9))
-            plane = float(mx[axis] if side else mn[axis])
-            faces.append((bi, fi, axis, normal, plane, mn[wa], n_rows, n_cols))
+            n_cols = float(np.floor((mx[wa] - mn[wa]) / grid_w + 1e-9))
+            if n_rows and n_cols:
+                plane = mx[axis] if side else mn[axis]
+                faces.append((bi, fi, axis, normal, plane, mn[wa], n_rows, n_cols))
     cells = sum(rows * cols for *_, rows, cols in faces)
     if cells > MAX_FACADE_CELLS:
         raise ValueError(
-            f"{cells} facade cells of {grid_w:g} x {grid_h:g} m exceed {MAX_FACADE_CELLS}"
+            f"{cells:g} facade cells of {grid_w:g} x {grid_h:g} m exceed {MAX_FACADE_CELLS}"
         )
     spots: list[CandidateSpot] = []
     for bi, fi, axis, normal, plane, start, n_rows, n_cols in faces:
-        for r in range(n_rows):
+        for r in range(int(n_rows)):
             z = min_mount_height + (r + 0.5) * grid_h
-            for c in range(n_cols):
+            for c in range(int(n_cols)):
                 pos = [0.0, 0.0, z]
                 pos[axis] = plane
                 pos[1 - axis] = float(start + (c + 0.5) * grid_w)
@@ -340,8 +341,6 @@ def scatter_street_points(
     STREET_SPACING, giving up after STREET_ATTEMPTS draws; deterministic
     for a given generator state.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
     # Disks of radius s/2 around the points are disjoint and lie in the
     # area grown by that radius, so their total area bounds count.
     s = STREET_SPACING

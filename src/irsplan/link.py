@@ -28,7 +28,8 @@ MODES = ("active", "passive")
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Power and noise figures shared by every link of a scenario."""
+    """Power and noise figures shared by every link of a scenario; the
+    values are checked by ScenarioConfig (positive powers and N_0 * B)."""
 
     p_total: float    # W, AP budget when serving a UE without any surface
     p_tx_max: float   # W, per-UE AP transmit cap when a surface assists
@@ -36,11 +37,6 @@ class PowerBudget:
     noise_psd: float  # W/Hz at the receiver
     amp_power_max: float = 0.0  # W, active-surface amplifier budget P_A (0: none)
     amp_noise_psd: float = 0.0  # W/Hz, active-surface amplifier noise N_v
-
-    def __post_init__(self):
-        for name in ("p_total", "p_tx_max", "bandwidth", "noise_psd"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
 
     @property
     def noise_power(self) -> float:
@@ -103,15 +99,10 @@ def snr_series(
     Both modes are evaluated on the same fading draws, so an active/passive
     comparison at a given spot is a paired experiment.  Deterministic for a
     fixed seed path; the draws of element n are independent of how many
-    further elements the surface has.
+    further elements the surface has.  The values are checked by
+    ScenarioConfig (n_mc >= 1, modes from MODES); the surface legs are
+    given whenever n_elements > 0.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    unknown = set(modes) - set(MODES)
-    if unknown:
-        raise ValueError(f"unknown modes: {sorted(unknown)}")
-    if n_elements > 0 and (stats_ap_irs is None or stats_irs_ue is None):
-        raise ValueError("surface legs are required when n_elements > 0")
     out = {m: np.empty(n_mc) for m in modes}
     done = 0
     chunk_idx = 0
@@ -143,12 +134,9 @@ def rate_and_snr_db(gamma: np.ndarray) -> tuple[float, float]:
 
 
 def fairness_index(rates) -> float:
-    """Jain index (sum r)^2 / (U sum r^2); 1 means perfectly even rates."""
+    """Jain index (sum r)^2 / (U sum r^2) of one or more rates >= 0; 1 means
+    perfectly even rates.  All-zero rates are refused."""
     r = np.asarray(rates, dtype=float)
-    if r.size == 0:
-        raise ValueError("rates must be nonempty")
-    if np.any(r < 0):
-        raise ValueError("rates must be >= 0")
     total_sq = float(np.sum(r)) ** 2
     denom = r.size * float(np.sum(r * r))
     if denom == 0.0:

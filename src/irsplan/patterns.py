@@ -43,14 +43,11 @@ class ErpModel:
     ----------
     exponent : float
         Cosine power q >= 0.  q=1 gives a 6.02 dBi element, q=3 gives
-        9.03 dBi.
+        9.03 dBi.  The value is checked by ScenarioConfig, which also
+        keeps the peak gain finite.
     """
 
     exponent: float = 1.0
-
-    def __post_init__(self):
-        if not (self.exponent >= 0 and math.isfinite(self.exponent)):
-            raise ValueError("exponent must be a finite value >= 0")
 
     @property
     def max_gain(self) -> float:
@@ -79,16 +76,17 @@ def erp_value(model: ErpModel, theta_deg) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ApArrayPattern:
-    """Vertical uniform linear array at the AP.
+    """Vertical uniform linear array at the AP; the values are checked by
+    ScenarioConfig.
 
     Parameters
     ----------
     wavelength : float
         Carrier wavelength in meters.
+    element_spacing : float
+        d_e in meters.
     num_elements : int
         M, number of array elements.
-    element_spacing : float or None
-        d_e in meters; defaults to half a wavelength.
     tilt_deg : float
         Boresight depression angle below the horizontal, degrees.
     element_max_gain : float
@@ -96,24 +94,10 @@ class ApArrayPattern:
     """
 
     wavelength: float
+    element_spacing: float
     num_elements: int = 8
-    element_spacing: float | None = None
     tilt_deg: float = 10.0
     element_max_gain: float = 1.64
-
-    def __post_init__(self):
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError("wavelength must be positive")
-        if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
-        if self.element_spacing is None:
-            object.__setattr__(self, "element_spacing", self.wavelength / 2.0)
-        if not (self.element_spacing > 0):
-            raise ValueError("element_spacing must be positive")
-        if not (-90.0 < self.tilt_deg <= 90.0):
-            raise ValueError("tilt_deg must lie in (-90, 90]")
-        if not (self.element_max_gain > 0):
-            raise ValueError("element_max_gain must be positive")
 
     @property
     def peak_gain(self) -> float:
@@ -132,8 +116,6 @@ def ap_pattern_value(pattern: ApArrayPattern, theta_deg) -> float | np.ndarray:
     can push the true peak a hair above 1 slightly off the tilt).
     """
     th = np.asarray(theta_deg, dtype=float)
-    if np.any(~np.isfinite(th)):
-        raise ValueError("theta_deg must be finite")
     if np.any(th <= -90.0) or np.any(th > 90.0):
         raise ValueError("theta_deg must lie in (-90, 90] degrees")
     m = pattern.num_elements

@@ -80,20 +80,13 @@ class MetricMatrix:
 
 @dataclass(frozen=True)
 class PlanProblem:
-    """Choose num_surfaces spots from a metric matrix."""
+    """Choose num_surfaces spots from a metric matrix.  The values are
+    checked by ScenarioConfig and, for num_surfaces <= spots, the runners."""
 
     matrix: MetricMatrix
     num_surfaces: int
     objective: str = "mean_ergodic_rate"
     threshold_db: float | None = None
-
-    def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if not (1 <= self.num_surfaces <= self.matrix.num_spots):
-            raise ValueError("num_surfaces must lie in [1, number of spots]")
-        if self.objective == "coverage_count" and self.threshold_db is None:
-            raise ValueError("coverage_count needs threshold_db")
 
     def values(self) -> np.ndarray:
         """The (U, M) value matrix the objective averages over."""
@@ -210,10 +203,8 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
     as the best spot overall could, and spots are scanned in descending
     single-spot value from the greedy+swap incumbent.  If the node budget
     runs out the incumbent is returned labeled heuristic together with a
-    still-valid upper bound.
+    still-valid upper bound.  ScenarioConfig keeps node_budget >= 1.
     """
-    if node_budget < 1:
-        raise ValueError("node_budget must be >= 1")
     v = problem.values()
     u, m = v.shape
     j = problem.num_surfaces

@@ -156,7 +156,7 @@ def test_criterion_03_isotropic_recovery():
     th_ap_ue = math.degrees(math.acos(math.sqrt(2.0 / 3.0)))  # 1.5 cos(th)^2 = 1
     worst = 0.0
     for k in (0.0, 1.0, 19.95):
-        for g_k, rho, _ in (
+        for g_k, rho in (
             adjust_stats_irs_ue(k, erp, th_irs_ue),
             adjust_stats_ap_irs(k, ap, erp, 0.0, th_ap_irs),
             adjust_stats_ap_ue(k, ap, th_ap_ue),

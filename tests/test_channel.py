@@ -28,6 +28,7 @@ WAVELENGTH = 3.0e8 / 2.0e9
 def ap_array(tilt_deg=0.0, num_elements=8):
     return ApArrayPattern(
         wavelength=WAVELENGTH,
+        element_spacing=WAVELENGTH / 2.0,
         num_elements=num_elements,
         tilt_deg=tilt_deg,
         element_max_gain=1.64,
@@ -116,15 +117,6 @@ def test_pathloss_nlos_never_beats_los(d2d, h_tx, h_rx, f):
     )
 
 
-def test_pathloss_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        pathloss_uma(0.0, 0.0, 25.0, 1.5, 2.0, True)
-    with pytest.raises(ValueError):
-        pathloss_uma(10.0, -1.0, 25.0, 1.5, 2.0, True)
-    with pytest.raises(ValueError):
-        pathloss_uma(10.0, 9.0, 25.0, 1.5, 0.0, True)
-
-
 # --- Rician K ----------------------------------------------------------------
 
 def test_k_factor_reference_points():
@@ -132,52 +124,37 @@ def test_k_factor_reference_points():
     assert_allclose(rician_k_isotropic(0.0, True), 19.952623149688797, rtol=1e-15)
     assert rician_k_isotropic(100.0, True) == 10.0
     assert rician_k_isotropic(100.0, False) == 0.0
-    with pytest.raises(ValueError):
-        rician_k_isotropic(-1.0, True)
 
 
 # --- pattern adjustment -----------------------------------------------------
 
 @pytest.mark.parametrize("k", [0.0, 1.0, 19.95])
 def test_adjustment_recovers_isotropic_law(k):
-    g_k, rho, e_nlos = rician_adjustment(k, 1.0, 1.0, 1.0)
+    g_k, rho = rician_adjustment(k, 1.0, 1.0, 1.0)
     assert g_k == 1.0
     assert_allclose(rho, 1.0, rtol=1e-12)
-    assert_allclose(e_nlos, 1.0 / (k + 1.0), rtol=1e-15)
 
 
 def test_adjustment_rayleigh_keeps_scattered_power():
     # with K = 0 the whole mean power is the scattered term
-    g_k, rho, e_nlos = rician_adjustment(0.0, 7.0, 1.3, 0.8)
-    assert rho == e_nlos == 1.3 * 0.8
+    g_k, rho = rician_adjustment(0.0, 7.0, 1.3, 0.8)
+    assert rho == 1.3 * 0.8
     assert g_k * 0.0 == 0.0
 
 
 def test_adjustment_frozen_hand_case():
-    g_k, rho, e_nlos = rician_adjustment(
+    g_k, rho = rician_adjustment(
         10.0, 52.48 * math.cos(math.radians(30.0)), 1.0, 1.0
     )
     assert_allclose(g_k, 45.44901319060734, rtol=1e-12)
     assert_allclose(rho, 41.40819380964304, rtol=1e-12)
-    assert_allclose(e_nlos, 1.0 / 11.0, rtol=1e-15)
-
-
-def test_adjustment_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        rician_adjustment(-0.1, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rician_adjustment(1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rician_adjustment(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        rician_adjustment(1.0, 1.0, 1.0, -2.0)
 
 
 def test_adjustment_dark_ray_is_pure_rayleigh():
     # a fully shadowed deterministic ray leaves only scattered power
-    g_k, rho, e_nlos = rician_adjustment(5.0, 0.0, 1.3, 0.8)
+    g_k, rho = rician_adjustment(5.0, 0.0, 1.3, 0.8)
     assert g_k == 0.0
-    assert rho == e_nlos == 1.3 * 0.8 / 6.0
+    assert rho == 1.3 * 0.8 / 6.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,8 +167,9 @@ def test_adjustment_dark_ray_is_pure_rayleigh():
 def test_adjustment_power_split_identities(k, lp, e_tx, e_rx):
     # the mean power rho splits into a deterministic part governed by the
     # isotropic K and a scattered part that the effective factor recovers
-    g_k, rho, e_nlos = rician_adjustment(k, lp, e_tx, e_rx)
+    g_k, rho = rician_adjustment(k, lp, e_tx, e_rx)
     k_tilde = g_k * k
+    e_nlos = e_tx * e_rx / (k + 1.0)  # the scattered power
     assert_allclose(rho, k / (k + 1.0) * lp + e_nlos, rtol=1e-12)
     assert_allclose((k_tilde + 1.0) * e_nlos, rho, rtol=1e-12)
     assert_allclose(
@@ -209,14 +187,14 @@ def test_ap_irs_adjustment_composes_patterns():
     assert_allclose(got, expected, rtol=1e-15)
     assert_allclose(
         got,
-        (28.715612943513747, 41.46116910943112, 0.14388439069717524),
+        (28.715612943513747, 41.46116910943112),
         rtol=1e-12,
     )
 
 
 def test_irs_ue_adjustment_hand_case():
     got = adjust_stats_irs_ue(4.0, ErpModel(1.0), 60.0)
-    assert_allclose(got, (2.0, 1.8, 0.2), rtol=1e-12)
+    assert_allclose(got, (2.0, 1.8), rtol=1e-12)
 
 
 def test_ap_ue_adjustment_hand_case():
@@ -227,13 +205,13 @@ def test_ap_ue_adjustment_hand_case():
     assert_allclose(got, expected, rtol=1e-15)
     # single vertical dipole: averaged gain 2/3 of peak, analytic
     assert_allclose(
-        got, (0.375, 0.8 * 0.41 + 1.64 * 2.0 / 3.0 / 5.0, 1.64 * 2.0 / 3.0 / 5.0),
+        got, (0.375, 0.8 * 0.41 + 1.64 * 2.0 / 3.0 / 5.0),
         rtol=1e-9,
     )
 
 
 def test_strong_k_drives_rho_to_los_product():
-    g_k, rho, _ = adjust_stats_irs_ue(1e12, ErpModel(1.0), 0.0)
+    g_k, rho = adjust_stats_irs_ue(1e12, ErpModel(1.0), 0.0)
     assert_allclose(rho, 4.0, rtol=1e-9)
     assert_allclose(g_k, 4.0, rtol=1e-15)
 
@@ -277,7 +255,7 @@ def test_link_stats_ap_irs_matches_manual_composition():
     )
     assert s.g == pathloss_uma(60.0, 55.0, 25.0, 10.0, 2.0, True)
     k = rician_k_isotropic(60.0, True)
-    assert (s.g_k, s.rho) == adjust_stats_ap_irs(k, ap, erp, 14.0, 25.0)[:2]
+    assert (s.g_k, s.rho) == adjust_stats_ap_irs(k, ap, erp, 14.0, 25.0)
 
 
 # --- amplitude sampling -----------------------------------------------------
@@ -288,8 +266,6 @@ def test_rice_parameters_values():
     assert_allclose(sigma, math.sqrt(0.5 / 11.0), rtol=1e-15)
     assert rice_parameters(math.inf) == (1.0, 0.0)
     assert rice_parameters(0.0) == (0.0, math.sqrt(0.5))
-    with pytest.raises(ValueError):
-        rice_parameters(-1e-9)
 
 
 @settings(max_examples=100, deadline=None)

@@ -86,6 +86,22 @@ def _with(override: dict, base: dict = TINY) -> dict:
     return out
 
 
+# Figures that are in range as typed but not once converted for the model:
+# watts or a noise power that underflow to 0, a wavelength, element spacing
+# or array gain out of range, an element peak gain 2 (q + 1) that overflows.
+UNCONVERTIBLE = [
+    ({"rf": {"noise_psd_dbm_hz": -4000.0}}, "rf.noise_psd_dbm_hz"),
+    ({"rf": {"bandwidth_hz": 1e-320}}, "rf.bandwidth_hz"),
+    ({"rf": {"f_c_ghz": 1e-320}}, "rf.f_c_ghz"),
+    ({"rf": {"f_c_ghz": 1e300}}, "rf.f_c_ghz"),
+    ({"power": {"p_total_mw": 1e-323}}, "power.p_total_mw"),
+    ({"power": {"p_tx_max_mw": 1e-323}}, "power.p_tx_max_mw"),
+    ({"surface": {"erp_exponent": 1e308}}, "surface.erp_exponent"),
+    ({"ap": {"element_spacing_wavelengths": 1e-323}}, "ap.element_spacing_wavelengths"),
+    ({"ap": {"element_max_gain": 5e-324, "tilt_deg": 89.0}}, "ap.element_max_gain"),
+]
+
+
 @pytest.mark.parametrize(
     "override, extra, field",
     [
@@ -107,6 +123,7 @@ def _with(override: dict, base: dict = TINY) -> dict:
         ({"rf": {"noise_psd_dbm_hz": 4000.0}}, [], "rf.noise_psd_dbm_hz"),  # overflows watts
         # on candidate spot 0 of the building's -x face
         ({"layout": {"ues_xy": [[0.0, -40.0], [20.0, -15.0]], "ue_height": 8.5}}, [], "layout.ues_xy[1]"),
+        *[(override, [], field) for override, field in UNCONVERTIBLE],
     ],
 )
 def test_bad_model_inputs_name_their_field(tmp_path, capsys, override, extra, field):
@@ -114,6 +131,26 @@ def test_bad_model_inputs_name_their_field(tmp_path, capsys, override, extra, fi
     path.write_text(yaml.safe_dump(_with(override)), encoding="utf-8")
     assert main(["deploy", "-c", str(path), "-o", str(tmp_path / "o"), *extra]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, field", UNCONVERTIBLE)
+def test_validate_refuses_unconvertible_figures(tmp_path, capsys, override, field):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_with(override)), encoding="utf-8")
+    assert main(["validate", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_sweep_exponent_whose_peak_gain_overflows(tmp_path, capsys):
+    # 400 nines parse to an infinite q
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        yaml.safe_dump(_with({"sweep": {"variants": ["active64_q" + "9" * 400]}})),
+        encoding="utf-8",
+    )
+    for command in ("link-sweep", "validate"):
+        assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.variants:")
 
 
 def test_unallocatable_sizes_are_an_error_line(tmp_path, capsys):
@@ -193,15 +230,17 @@ def test_spots_needs_a_scene(capsys):
 
 @pytest.mark.parametrize("key", ["grid_w", "grid_h"])
 def test_spots_refuses_a_grid_too_fine_to_enumerate(tmp_path, capsys, key):
-    # 1e-9 m cells would cut the one facade of tiny_custom into ~1e10 spots
-    cfg = yaml.safe_load(TINY_CUSTOM.read_text(encoding="utf-8"))
-    cfg["layout"][key] = 1e-9
-    path = tmp_path / "fine.yaml"
-    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-    t0 = time.perf_counter()
-    assert main(["spots", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
-    assert time.perf_counter() - t0 < 1.0
-    assert "config error: layout.grid_w/grid_h:" in capsys.readouterr().err
+    # 1e-9 m cells would cut the one facade of tiny_custom into ~1e10 spots;
+    # with 1e-320 m cells the count overflows to inf
+    for step in (1e-9, 1e-320):
+        cfg = yaml.safe_load(TINY_CUSTOM.read_text(encoding="utf-8"))
+        cfg["layout"][key] = step
+        path = tmp_path / "fine.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        t0 = time.perf_counter()
+        assert main(["spots", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "config error: layout.grid_w/grid_h:" in capsys.readouterr().err
 
 
 # --- stats ------------------------------------------------------------------

@@ -177,6 +177,16 @@ def test_cross_field_constraints():
         ScenarioConfig(mc=dataclasses.replace(ScenarioConfig().mc, n_mc=0))
     with pytest.raises(ConfigError, match="bandwidth"):
         config_from_dict({"rf": {"bandwidth_hz": -1.0}})
+    # the planner, the MC kernel and the patterns take these as given
+    for section, key, value in (
+        ("deploy", "node_budget", 0),
+        ("coverage", "node_budget", 0),
+        ("sweep", "n_mc", 0),
+        ("coverage", "modes", ["hybrid"]),
+        ("surface", "erp_exponent", -0.5),
+    ):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            config_from_dict({section: {key: value}})
 
 
 @pytest.mark.parametrize(

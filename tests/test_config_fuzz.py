@@ -3,11 +3,15 @@
 Each example starts from the full config of configs/tiny_custom.yaml and
 replaces one to three sections, fields or list entries with a wrong type,
 a negative number, zero, a tiny positive number (1e-9, which as a grid
-step would cut the facades into ~1e10 cells), nan, +-inf, or (for a list)
-a list one entry too short or too long.
+step would cut the facades into ~1e10 cells), a number at the edge of the
+float range (1e-320, +-1e308) or far below any noise floor (-4000 dBm),
+nan, +-inf, or (for a list) a list one entry too short or too long.  An
+exit 2 must come with a `config error: ` line naming the field.
 """
 
+import contextlib
 import copy
+import io
 import math
 import os
 from pathlib import Path
@@ -22,7 +26,10 @@ from irsplan.config import config_to_dict, load_config
 TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny_custom.yaml"
 BASE = config_to_dict(load_config(str(TINY)))
 
-WRONG = ["x", True, None, {}, -1, -2.5, 0, 0.0, 1e-9, math.nan, math.inf, -math.inf]
+WRONG = [
+    "x", True, None, {}, -1, -2.5, 0, 0.0, 1e-9, 1e-320, 1e308, -1e308, -4000.0,
+    math.nan, math.inf, -math.inf,
+]
 
 
 def _paths(node, path=()):
@@ -60,4 +67,9 @@ def test_broken_configs_exit_0_or_2(tmp_path_factory, cfg):
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     for command in ("validate", "spots"):
-        assert main([command, "-c", str(path), "-o", os.devnull]) in (0, 2)
+        err = io.StringIO()  # Hypothesis refuses the function-scoped capsys
+        with contextlib.redirect_stderr(err):
+            code = main([command, "-c", str(path), "-o", os.devnull])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("config error: "), err.getvalue()

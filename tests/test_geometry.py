@@ -313,13 +313,12 @@ def test_spot_generation_edge_cases():
     low = Scene(AP, (Building((0.0, 0.0, 0.0), (30.0, 40.0, 5.0)),), (),
                 (-100.0, 100.0), (-100.0, 100.0))
     assert generate_candidate_spots(low, 20.0, 7.0, 6.0) == []
-    with pytest.raises(ValueError):
-        generate_candidate_spots(empty_scene(), 0.0, 7.0)
-    with pytest.raises(ValueError):
-        generate_candidate_spots(empty_scene(), 20.0, 7.0, -1.0)
     # a grid too fine to enumerate is refused before any spot is built
     with pytest.raises(ValueError, match="facade cells"):
         generate_candidate_spots(single_building_scene(), 1e-9, 7.0, 6.0)
+    # ... also when the cell count overflows to inf
+    with pytest.raises(ValueError, match="inf facade cells"):
+        generate_candidate_spots(single_building_scene(), 20.0, 1e-320, 6.0)
 
 
 def test_filter_keeps_front_lit_visible_spots():
@@ -401,6 +400,3 @@ def test_scatter_fails_when_area_is_full(monkeypatch):
         scatter_street_points(
             (-10.0, 10.0), (-10.0, 10.0), blocked, 3, np.random.default_rng(0)
         )
-    with pytest.raises(ValueError):
-        scatter_street_points((-10.0, 10.0), (-10.0, 10.0), (), -1,
-                              np.random.default_rng(0))

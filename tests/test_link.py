@@ -329,16 +329,6 @@ def test_element_draws_do_not_depend_on_surface_size():
     assert np.array_equal(big[:4], small)
 
 
-def test_snr_series_validation():
-    s_d = rayleigh_stats(1e-9, 1.0)
-    with pytest.raises(ValueError):
-        snr_series(s_d, None, None, 0, BUDGET, n_mc=0, seed_path=(0,))
-    with pytest.raises(ValueError):
-        snr_series(s_d, None, None, 0, BUDGET, n_mc=4, seed_path=(0,), modes=("laser",))
-    with pytest.raises(ValueError):
-        snr_series(s_d, None, None, 4, BUDGET, n_mc=4, seed_path=(0,))
-
-
 def test_metrics_from_snr_edge_cases():
     m = metrics_from_snr(np.zeros(8))
     assert m.ergodic_rate == 0.0
@@ -361,10 +351,6 @@ def test_fairness_index_values():
     assert fairness_index([2.0, 2.0, 2.0, 2.0]) == 1.0
     assert fairness_index([3.0, 1.0]) == 0.8
     assert fairness_index([5.0, 0.0, 0.0, 0.0]) == 0.25
-    with pytest.raises(ValueError):
-        fairness_index([])
-    with pytest.raises(ValueError):
-        fairness_index([1.0, -0.5])
     with pytest.raises(ValueError):
         fairness_index([0.0, 0.0])
 
@@ -390,8 +376,5 @@ def test_irs_unit_validation():
 
 
 def test_power_budget_validation():
-    with pytest.raises(ValueError):
-        PowerBudget(p_total=0.0, p_tx_max=0.005, bandwidth=200e3, noise_psd=1e-20)
-    with pytest.raises(ValueError):
-        PowerBudget(p_total=0.01, p_tx_max=0.005, bandwidth=-1.0, noise_psd=1e-20)
+    # the figures themselves are checked by ScenarioConfig (tests/test_cli.py)
     assert BUDGET.noise_power == BUDGET.noise_psd * BUDGET.bandwidth
