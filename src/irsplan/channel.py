@@ -6,6 +6,11 @@ that fold the antenna patterns into the fading law, the K-factor gain G_K
 and the mean fading power rho.  The fading amplitude is then
 sqrt(g) * xi, with xi Rician such that E{xi^2} = rho and effective factor
 K_tilde = G_K * K.
+
+link_stats builds the record of every leg.  Each end gives its realized gain
+along the ray and its spherical average: the AP array peak_gain *
+ap_pattern_value and ap_average_gain, a surface element max_gain * erp_value
+and 1, an isotropic UE 1 and 1.  rician_adjustment folds both products in.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import link_geometry
-from .patterns import (
-    ApArrayPattern,
-    ErpModel,
-    ap_pattern_value,
-    erp_value,
-    pattern_averaged_gain,
-)
+from .patterns import ApArrayPattern, ErpModel, ap_average_gain, ap_pattern_value, erp_value
 
 _C = 3.0e8  # m/s, as used by the UMa breakpoint distance
 
@@ -70,7 +69,8 @@ def pathloss_uma(
     d_bp = 4 (h_tx - 1)(h_rx - 1) f_c / c; the NLoS loss is floored by the
     LoS loss at the same geometry.  No shadow fading term.  Takes
     dist_3d > 0 and dist_2d >= 0 from link_geometry and f_c_ghz > 0 from
-    ScenarioConfig.
+    ScenarioConfig; a gain past the float range, which only a carrier far
+    below any real band reaches, is a ValueError naming rf.f_c_ghz.
     """
     lf = 20.0 * math.log10(f_c_ghz)
     pl1 = 28.0 + 22.0 * math.log10(dist_3d) + lf
@@ -94,7 +94,10 @@ def pathloss_uma(
     else:
         pl_nlos = 13.54 + 39.08 * math.log10(dist_3d) + lf - 0.6 * (h_rx - 1.5)
         pl = max(pl_los, pl_nlos)
-    return 10.0 ** (-pl / 10.0)
+    try:
+        return 10.0 ** (-pl / 10.0)
+    except OverflowError:  # past a gain of ~+3083 dB
+        raise ValueError(f"rf.f_c_ghz: {f_c_ghz!r} GHz gives a {-pl:.6g} dB path gain") from None
 
 
 def rician_k_isotropic(dist_3d: float, los: bool) -> float:
@@ -107,66 +110,18 @@ def rician_k_isotropic(dist_3d: float, los: bool) -> float:
     return 10.0 ** ((13.0 - 0.03 * dist_3d) / 10.0)
 
 
-def rician_adjustment(
-    k_factor: float, los_product: float, e_tx: float, e_rx: float
-) -> tuple[float, float]:
-    """Fold pattern gains into the Rician law of one link.
+def rician_adjustment(k_factor: float, los_product: float, e_avg: float) -> tuple[float, float]:
+    """Fold pattern gains into the Rician law of one link: (G_K, rho).
 
-    Parameters
-    ----------
-    k_factor : float
-        Isotropic Rician factor K >= 0.
-    los_product : float
-        Product of the realized gains G*F along the deterministic ray.
-    e_tx, e_rx : float
-        Pattern-averaged gains of the two ends, weighting the scattered
-        power; positive (ScenarioConfig checks the AP's).
-
-    Returns
-    -------
-    (g_k, rho) : tuple of float
-        K-factor gain and mean fading power.  For unit gains on both ends
-        this is exactly (1, 1), i.e. the isotropic law is recovered.
+    k_factor is the isotropic K >= 0, los_product the product of both ends'
+    realized gains G*F along the deterministic ray, and e_avg the product of
+    their spherical averages, which weights the scattered power (positive;
+    ScenarioConfig checks the AP's).  Unit gains give exactly (1, 1): the
+    isotropic law.
     """
-    e_prod = e_tx * e_rx
-    g_k = los_product / e_prod
-    rho = (k_factor / (k_factor + 1.0)) * los_product + e_prod / (k_factor + 1.0)
+    g_k = los_product / e_avg
+    rho = (k_factor / (k_factor + 1.0)) * los_product + e_avg / (k_factor + 1.0)
     return g_k, rho
-
-
-def adjust_stats_ap_irs(
-    k_factor: float,
-    ap_pattern: ApArrayPattern,
-    erp: ErpModel,
-    depression_deg: float,
-    arrival_polar_deg: float,
-) -> tuple[float, float]:
-    """(G_K, rho) for the AP-to-surface leg."""
-    los_product = (
-        ap_pattern.peak_gain
-        * ap_pattern_value(ap_pattern, depression_deg)
-        * erp.max_gain
-        * erp_value(erp, arrival_polar_deg)
-    )
-    e_tx = pattern_averaged_gain(ap_pattern)
-    e_rx = pattern_averaged_gain(erp)
-    return rician_adjustment(k_factor, los_product, e_tx, e_rx)
-
-
-def adjust_stats_irs_ue(
-    k_factor: float, erp: ErpModel, departure_polar_deg: float
-) -> tuple[float, float]:
-    """(G_K, rho) for the surface-to-UE leg (isotropic UE)."""
-    los_product = erp.max_gain * erp_value(erp, departure_polar_deg)
-    return rician_adjustment(k_factor, los_product, pattern_averaged_gain(erp), 1.0)
-
-
-def adjust_stats_ap_ue(
-    k_factor: float, ap_pattern: ApArrayPattern, depression_deg: float
-) -> tuple[float, float]:
-    """(G_K, rho) for the direct AP-to-UE link (isotropic UE)."""
-    los_product = ap_pattern.peak_gain * ap_pattern_value(ap_pattern, depression_deg)
-    return rician_adjustment(k_factor, los_product, pattern_averaged_gain(ap_pattern), 1.0)
 
 
 def link_stats(
@@ -185,19 +140,23 @@ def link_stats(
 ) -> LinkStats:
     """Assemble the LinkStats of one leg.
 
-    kind selects the pattern combination: "ap_irs", "irs_ue" (the polar
-    angle doubles as the departure angle off the facet normal) or "ap_ue".
+    kind names the two ends: "ap_irs", "irs_ue" (the polar angle doubles
+    as the departure angle off the facet normal) or "ap_ue".  The AP end
+    gives its gain at depression_deg and ap_average_gain, the surface end
+    its gain at arrival_polar_deg and 1, which its normalization fixes; the
+    UE gives 1 and 1.  rician_adjustment takes the products of both ends.
     """
+    if kind not in ("ap_irs", "irs_ue", "ap_ue"):
+        raise ValueError(f"unknown link kind: {kind!r}")
     g = pathloss_uma(dist_3d, dist_2d, h_tx, h_rx, f_c_ghz, los)
     k = rician_k_isotropic(dist_3d, los)
-    if kind == "ap_irs":
-        g_k, rho = adjust_stats_ap_irs(k, ap_pattern, erp, depression_deg, arrival_polar_deg)
-    elif kind == "irs_ue":
-        g_k, rho = adjust_stats_irs_ue(k, erp, arrival_polar_deg)
-    elif kind == "ap_ue":
-        g_k, rho = adjust_stats_ap_ue(k, ap_pattern, depression_deg)
-    else:
-        raise ValueError(f"unknown link kind: {kind!r}")
+    los_product = e_avg = 1.0
+    if kind != "irs_ue":  # the AP end
+        los_product = ap_pattern.peak_gain * ap_pattern_value(ap_pattern, depression_deg)
+        e_avg = ap_average_gain(ap_pattern)
+    if kind != "ap_ue":  # the surface end; not *=, which would round G_e * F_e first
+        los_product = los_product * erp.max_gain * erp_value(erp, arrival_polar_deg)
+    g_k, rho = rician_adjustment(k, los_product, e_avg)
     return LinkStats(g=g, k_factor=k, g_k=g_k, rho=rho, los=los)
 
 

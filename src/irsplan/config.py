@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .link import MODES, PowerBudget
-from .patterns import ApArrayPattern, ErpModel, pattern_averaged_gain
+from .patterns import ApArrayPattern, ErpModel, ap_average_gain
 from .planner import OBJECTIVES
 
 PRESETS = ("link_sweep", "medium_deploy", "split_1024", "widearea_coverage", "custom")
@@ -263,7 +263,7 @@ class ScenarioConfig:
             ("rf.noise_psd_dbm_hz", "noise PSD in W/Hz", budget.noise_psd),
             ("rf.bandwidth_hz", "noise power N0 B in W", budget.noise_power),
             # quadrature over the array pattern, hence after the lengths
-            ("ap.element_max_gain", "average array gain", pattern_averaged_gain(ap)),
+            ("ap.element_max_gain", "average array gain", ap_average_gain(ap)),
         ):
             if not (value > 0):
                 raise ConfigError(f"{path}: the {what} is {value!r}, must be > 0")

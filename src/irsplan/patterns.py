@@ -9,11 +9,12 @@ G * F.  Angles are in degrees throughout.
 * Reflecting elements use the cosine-power model F(theta) = cos(theta)^q on
   the front hemisphere (theta in [0, 90]) and 0 behind, with the peak gain
   G = 2*(q+1) fixed by requiring the gain to integrate to 4*pi over the
-  sphere.
+  sphere, so its spherical average is exactly 1.
 * The AP is a uniform linear array of M elements on a vertical axis with a
   mechanical/electrical downtilt.  Its pattern depends only on the
   depression angle theta (positive below the horizontal), with the array
-  factor normalized so F equals exactly 1 at the tilt angle.
+  factor normalized so F equals exactly 1 at the tilt angle; its spherical
+  average, ap_average_gain, is taken by quadrature.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class ErpModel:
         Cosine power q >= 0.  q=1 gives a 6.02 dBi element, q=3 gives
         9.03 dBi.  The value is checked by ScenarioConfig, which also
         keeps the peak gain finite.
+
+    Its spherical average gain is exactly 1, the normalization that fixes
+    max_gain, so channel.link_stats takes 1 for a surface end.
     """
 
     exponent: float = 1.0
@@ -134,10 +138,13 @@ def ap_pattern_value(pattern: ApArrayPattern, theta_deg) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _ap_average_cached(pattern: ApArrayPattern) -> float:
-    # (1/4pi) * integral of G*F over the sphere; the pattern has no azimuth
-    # dependence, so this reduces to 0.5 * integral of G(theta) cos(theta)
-    # over depression angles.
+def ap_average_gain(pattern: ApArrayPattern) -> float:
+    """Spherical average (1/4pi) * integral of G*F dOmega of the AP array.
+
+    The pattern has no azimuth dependence, so this reduces to
+    0.5 * integral of G(theta) cos(theta) over depression angles, taken by
+    the trapezoid rule.
+    """
     theta = np.arange(-90.0, 90.0 + _QUAD_STEP_DEG, _QUAD_STEP_DEG)
     theta = np.clip(theta, -90.0 + 1e-12, 90.0)
     g = pattern.peak_gain * ap_pattern_value(pattern, theta)
@@ -145,16 +152,3 @@ def _ap_average_cached(pattern: ApArrayPattern) -> float:
     y = g * np.cos(rad)
     # Trapezoid rule, written as scipy.integrate.trapezoid evaluates it.
     return 0.5 * float(np.sum(np.diff(rad) * (y[1:] + y[:-1]) / 2.0))
-
-
-def pattern_averaged_gain(pattern) -> float:
-    """Spherical average (1/4pi) * integral of G*F dOmega.
-
-    Exactly 1.0 for the cos^q element model (that is its normalization);
-    computed by quadrature for the AP array.
-    """
-    if isinstance(pattern, ErpModel):
-        return 1.0
-    if isinstance(pattern, ApArrayPattern):
-        return _ap_average_cached(pattern)
-    raise TypeError(f"unsupported pattern type: {type(pattern).__name__}")

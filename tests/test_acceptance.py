@@ -20,8 +20,9 @@ import pytest
 import yaml
 from scipy.integrate import quad
 
-from irsplan.channel import adjust_stats_ap_irs, adjust_stats_ap_ue, adjust_stats_irs_ue
+from irsplan.channel import LinkStats, link_stats
 from irsplan.config import CoverageConfig, ScenarioConfig, experiment_preset
+from irsplan.link import snr_series
 from irsplan.patterns import ApArrayPattern, ErpModel, erp_value
 from irsplan.planner import (
     MetricMatrix,
@@ -144,8 +145,8 @@ def test_criterion_02_fading_moments():
 def test_criterion_03_isotropic_recovery():
     # Unit-gain constructions: a single-element panel with element gain 1.5
     # has a spherical average of exactly 1, and the angles below place each
-    # line-of-sight gain product at exactly 1, so every adjustment must be
-    # a no-op returning (1, 1).
+    # line-of-sight gain product at exactly 1, so every leg must keep the
+    # isotropic law (1, 1) whatever its Rician factor.
     ap = ApArrayPattern(
         wavelength=0.15, num_elements=1, element_spacing=0.075,
         tilt_deg=0.0, element_max_gain=1.5,
@@ -155,13 +156,20 @@ def test_criterion_03_isotropic_recovery():
     th_ap_irs = math.degrees(math.acos(1.0 / 6.0))      # 1.5 * 4 cos(th) = 1
     th_ap_ue = math.degrees(math.acos(math.sqrt(2.0 / 3.0)))  # 1.5 cos(th)^2 = 1
     worst = 0.0
-    for k in (0.0, 1.0, 19.95):
-        for g_k, rho in (
-            adjust_stats_irs_ue(k, erp, th_irs_ue),
-            adjust_stats_ap_irs(k, ap, erp, 0.0, th_ap_irs),
-            adjust_stats_ap_ue(k, ap, th_ap_ue),
+    # K = 0 (NLoS), K = 10 (LoS at 100 m) and K ~ 19.8 (LoS at 1 m)
+    for dist_3d, dist_2d, los in ((100.0, 99.0, False), (100.0, 99.0, True), (1.0, 0.5, True)):
+        common = dict(
+            dist_3d=dist_3d, dist_2d=dist_2d, h_tx=25.0, h_rx=1.5, f_c_ghz=2.0, los=los
+        )
+        for s in (
+            link_stats("irs_ue", erp=erp, arrival_polar_deg=th_irs_ue, **common),
+            link_stats(
+                "ap_irs", ap_pattern=ap, erp=erp, depression_deg=0.0,
+                arrival_polar_deg=th_ap_irs, **common,
+            ),
+            link_stats("ap_ue", ap_pattern=ap, depression_deg=th_ap_ue, **common),
         ):
-            worst = max(worst, abs(g_k - 1.0), abs(rho - 1.0))
+            worst = max(worst, abs(s.g_k - 1.0), abs(s.rho - 1.0))
     ok = worst <= 1e-12
     report(3, ok, f"worst |G_K - 1|, |rho - 1| = {worst:.2e} (<=1e-12)")
 
@@ -208,17 +216,27 @@ def test_criterion_04_phase_and_amplification_optimality():
 
 
 def test_criterion_05_passive_quadratic_array_law():
-    gammas = {}
+    gammas, kernel = {}, {}
+    # Deterministic legs with power-of-two amplitudes (2^-12 per surface
+    # leg, no direct path) keep every sum of the production kernel exact.
+    surface_leg = LinkStats(g=2.0**-24, k_factor=math.inf, g_k=1.0, rho=1.0, los=True)
+    direct_leg = dataclasses.replace(surface_leg, g=0.0)
     for n in (4, 16, 64):
         gammas[n] = snr_optimal(
             np.full(n, 2e-4), np.full(n, 3e-5), 0.0, IrsUnit(n, "passive"), BUDGET
         )
+        kernel[n] = snr_series(
+            direct_leg, surface_leg, surface_leg, n, BUDGET,
+            n_mc=4, seed_path=(0,), modes=("passive",),
+        )["passive"]
     ok = gammas[16] / gammas[4] == 16.0 and gammas[64] / gammas[4] == 256.0
+    ratios = [float(kernel[n][0] / kernel[4][0]) for n in (16, 64)]
+    ok = ok and ratios == [16.0, 256.0] and all(np.all(g == g[0]) for g in kernel.values())
     report(
         5,
         ok,
-        f"gamma ratios {gammas[16] / gammas[4]:g} and {gammas[64] / gammas[4]:g} "
-        "(expected exactly 16 and 256)",
+        f"gamma ratios {gammas[16] / gammas[4]:g} and {gammas[64] / gammas[4]:g}, "
+        f"snr_series ratios {ratios[0]:g} and {ratios[1]:g} (expected exactly 16 and 256)",
     )
 
 

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from irsplan.channel import (
-    adjust_stats_ap_irs,
-    adjust_stats_ap_ue,
-    adjust_stats_irs_ue,
     link_stats,
     pathloss_uma,
     rice_parameters,
     rician_adjustment,
     rician_k_isotropic,
 )
-from irsplan.patterns import ApArrayPattern, ErpModel, pattern_averaged_gain
+from irsplan.patterns import ApArrayPattern, ErpModel
 
-from oracles import rice_mean_quad, sample_fading, uma_pathloss_db
+from oracles import rice_mean_quad, sample_fading, uma_pathloss_db, ula_gain
 
 WAVELENGTH = 3.0e8 / 2.0e9
 
@@ -37,6 +34,25 @@ def ap_array(tilt_deg=0.0, num_elements=8):
 
 def loss_db(g: float) -> float:
     return -10.0 * math.log10(g)
+
+
+def half_wave_ula_average(num_elements, element_gain, tilt_deg):
+    """Spherical average of a half-wave-spaced vertical ULA, in closed form.
+
+    With u = sin(theta) the average is (G_e / 2) * integral over [-1, 1] of
+    (1 - u^2) AF^2, and AF^2 = 1 + (2/M) sum_k (M - k) cos(k pi (u - u0));
+    each cosine integrates to -4 (-1)^k cos(k pi u0) / (k pi)^2.
+    """
+    m, u0 = num_elements, math.sin(math.radians(tilt_deg))
+    ripple = sum(
+        (m - k) * (-1) ** k * math.cos(k * math.pi * u0) / (k * math.pi) ** 2
+        for k in range(1, m)
+    )
+    return element_gain / 2.0 * (4.0 / 3.0 - 8.0 / m * ripple)
+
+
+# A LoS leg at 100 m has the isotropic factor K = 10^((13 - 3) / 10) = 10.
+LOS_100M = dict(dist_3d=100.0, dist_2d=99.0, h_tx=25.0, h_rx=1.5, f_c_ghz=2.0, los=True)
 
 
 # --- UMa path loss ----------------------------------------------------------
@@ -130,29 +146,27 @@ def test_k_factor_reference_points():
 
 @pytest.mark.parametrize("k", [0.0, 1.0, 19.95])
 def test_adjustment_recovers_isotropic_law(k):
-    g_k, rho = rician_adjustment(k, 1.0, 1.0, 1.0)
+    g_k, rho = rician_adjustment(k, 1.0, 1.0)
     assert g_k == 1.0
     assert_allclose(rho, 1.0, rtol=1e-12)
 
 
 def test_adjustment_rayleigh_keeps_scattered_power():
     # with K = 0 the whole mean power is the scattered term
-    g_k, rho = rician_adjustment(0.0, 7.0, 1.3, 0.8)
+    g_k, rho = rician_adjustment(0.0, 7.0, 1.3 * 0.8)
     assert rho == 1.3 * 0.8
     assert g_k * 0.0 == 0.0
 
 
 def test_adjustment_frozen_hand_case():
-    g_k, rho = rician_adjustment(
-        10.0, 52.48 * math.cos(math.radians(30.0)), 1.0, 1.0
-    )
+    g_k, rho = rician_adjustment(10.0, 52.48 * math.cos(math.radians(30.0)), 1.0)
     assert_allclose(g_k, 45.44901319060734, rtol=1e-12)
     assert_allclose(rho, 41.40819380964304, rtol=1e-12)
 
 
 def test_adjustment_dark_ray_is_pure_rayleigh():
     # a fully shadowed deterministic ray leaves only scattered power
-    g_k, rho = rician_adjustment(5.0, 0.0, 1.3, 0.8)
+    g_k, rho = rician_adjustment(5.0, 0.0, 1.3 * 0.8)
     assert g_k == 0.0
     assert rho == 1.3 * 0.8 / 6.0
 
@@ -167,7 +181,7 @@ def test_adjustment_dark_ray_is_pure_rayleigh():
 def test_adjustment_power_split_identities(k, lp, e_tx, e_rx):
     # the mean power rho splits into a deterministic part governed by the
     # isotropic K and a scattered part that the effective factor recovers
-    g_k, rho = rician_adjustment(k, lp, e_tx, e_rx)
+    g_k, rho = rician_adjustment(k, lp, e_tx * e_rx)
     k_tilde = g_k * k
     e_nlos = e_tx * e_rx / (k + 1.0)  # the scattered power
     assert_allclose(rho, k / (k + 1.0) * lp + e_nlos, rtol=1e-12)
@@ -179,39 +193,40 @@ def test_adjustment_power_split_identities(k, lp, e_tx, e_rx):
 
 def test_ap_irs_adjustment_composes_patterns():
     ap = ap_array(tilt_deg=0.0)
-    erp = ErpModel(1.0)
-    got = adjust_stats_ap_irs(10.0, ap, erp, 0.0, 30.0)
-    # boresight AP gain 8 * 1.64 = 13.12 and reflector gain 4 cos(30):
-    lp = 13.12 * 4.0 * math.cos(math.radians(30.0))
-    expected = rician_adjustment(10.0, lp, pattern_averaged_gain(ap), 1.0)
-    assert_allclose(got, expected, rtol=1e-15)
-    assert_allclose(
-        got,
-        (28.715612943513747, 41.46116910943112),
-        rtol=1e-12,
+    s = link_stats(
+        "ap_irs", ap_pattern=ap, erp=ErpModel(1.0), depression_deg=0.0,
+        arrival_polar_deg=30.0, **LOS_100M,
     )
+    # boresight AP gain 8 * 1.64 = 13.12 and reflector gain 4 cos(30); the
+    # element averages to 1, so the scattered power is the array's average
+    lp = 13.12 * 4.0 * math.cos(math.radians(30.0))
+    e = half_wave_ula_average(8, 1.64, 0.0)
+    assert_allclose((s.g_k, s.rho), (lp / e, 10.0 / 11.0 * lp + e / 11.0), rtol=1e-12)
+    assert_allclose((s.g_k, s.rho), (28.715612943513747, 41.46116910943112), rtol=1e-12)
 
 
 def test_irs_ue_adjustment_hand_case():
-    got = adjust_stats_irs_ue(4.0, ErpModel(1.0), 60.0)
-    assert_allclose(got, (2.0, 1.8), rtol=1e-12)
+    s = link_stats("irs_ue", erp=ErpModel(1.0), arrival_polar_deg=60.0, **LOS_100M)
+    # 4 cos(60) = 2 along the ray, unit averages on both ends
+    assert_allclose((s.g_k, s.rho), (2.0, 10.0 / 11.0 * 2.0 + 1.0 / 11.0), rtol=1e-12)
+    n = link_stats(
+        "irs_ue", erp=ErpModel(1.0), arrival_polar_deg=60.0, **{**LOS_100M, "los": False}
+    )
+    assert_allclose((n.g_k, n.rho), (2.0, 1.0), rtol=1e-12)  # K = 0: scattered only
 
 
 def test_ap_ue_adjustment_hand_case():
-    ap = ap_array(num_elements=1)
-    got = adjust_stats_ap_ue(4.0, ap, 60.0)
-    e_tx = pattern_averaged_gain(ap)
-    expected = rician_adjustment(4.0, 1.64 * 0.25, e_tx, 1.0)
-    assert_allclose(got, expected, rtol=1e-15)
-    # single vertical dipole: averaged gain 2/3 of peak, analytic
-    assert_allclose(
-        got, (0.375, 0.8 * 0.41 + 1.64 * 2.0 / 3.0 / 5.0),
-        rtol=1e-9,
+    # single vertical dipole: 1.64 cos(60)^2 along the ray, averaged gain
+    # 2/3 of peak, analytic
+    s = link_stats(
+        "ap_ue", ap_pattern=ap_array(num_elements=1), depression_deg=60.0, **LOS_100M
     )
+    e = 1.64 * 2.0 / 3.0
+    assert_allclose((s.g_k, s.rho), (0.375, 10.0 / 11.0 * 0.41 + e / 11.0), rtol=1e-9)
 
 
 def test_strong_k_drives_rho_to_los_product():
-    g_k, rho = adjust_stats_irs_ue(1e12, ErpModel(1.0), 0.0)
+    g_k, rho = rician_adjustment(1e12, 4.0, 1.0)
     assert_allclose(rho, 4.0, rtol=1e-9)
     assert_allclose(g_k, 4.0, rtol=1e-15)
 
@@ -239,23 +254,17 @@ def test_link_stats_dispatch_and_properties():
 
 def test_link_stats_ap_irs_matches_manual_composition():
     ap = ap_array(tilt_deg=10.0)
-    erp = ErpModel(3.0)
     s = link_stats(
-        "ap_irs",
-        dist_3d=60.0,
-        dist_2d=55.0,
-        h_tx=25.0,
-        h_rx=10.0,
-        f_c_ghz=2.0,
-        los=True,
-        ap_pattern=ap,
-        erp=erp,
-        depression_deg=14.0,
-        arrival_polar_deg=25.0,
+        "ap_irs", ap_pattern=ap, erp=ErpModel(3.0), depression_deg=14.0,
+        arrival_polar_deg=25.0, **LOS_100M,
     )
-    assert s.g == pathloss_uma(60.0, 55.0, 25.0, 10.0, 2.0, True)
-    k = rician_k_isotropic(60.0, True)
-    assert (s.g_k, s.rho) == adjust_stats_ap_irs(k, ap, erp, 14.0, 25.0)
+    assert s.g == pathloss_uma(100.0, 99.0, 25.0, 1.5, 2.0, True)
+    assert s.k_factor == 10.0
+    # the textbook array gain at 14 degrees times the element's 8 cos(25)^3
+    lp = float(ula_gain(14.0, 8, WAVELENGTH / 2.0, WAVELENGTH, 10.0, 1.64))
+    lp *= 8.0 * math.cos(math.radians(25.0)) ** 3
+    e = half_wave_ula_average(8, 1.64, 10.0)
+    assert_allclose((s.g_k, s.rho), (lp / e, 10.0 / 11.0 * lp + e / 11.0), rtol=1e-12)
 
 
 # --- amplitude sampling -----------------------------------------------------

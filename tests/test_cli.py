@@ -153,6 +153,22 @@ def test_sweep_exponent_whose_peak_gain_overflows(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error: sweep.variants:")
 
 
+@pytest.mark.parametrize(
+    "command, base",
+    [("deploy", "tiny"), ("coverage", "tiny"), ("stats", "tiny"), ("link-sweep", "sweep")],
+)
+def test_carrier_whose_path_gain_overflows(tmp_path, capsys, command, base):
+    # 1e-300 GHz passes validate (a finite wavelength), but its path gain
+    # of some +5900 dB leaves the float range on the first leg
+    cfg = yaml.safe_load(TINY_CUSTOM.read_text(encoding="utf-8"))
+    cfg = _with({"rf": {"f_c_ghz": 1.0e-300}}, cfg if base == "tiny" else {"preset": "link_sweep"})
+    path = tmp_path / "low_carrier.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["validate", "-c", str(path), "-o", str(tmp_path / "v")]) == 0
+    assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: rf.f_c_ghz: 1e-300 GHz")
+
+
 def test_unallocatable_sizes_are_an_error_line(tmp_path, capsys):
     # numpy refuses 10**13 draws per mode before allocating any of them
     path = tmp_path / "huge.yaml"
