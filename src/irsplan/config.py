@@ -1,17 +1,20 @@
 """Scenario configuration: defaults, YAML parsing, derived model objects.
 
-The default values reproduce the reference urban-macro setup: 2 GHz
-carrier, 200 kHz user bandwidth, -174 dBm/Hz receiver noise, -160 dBm/Hz
-amplifier noise, a 25 m AP serving 1.5 m UEs, 10 mW AP budget without a
-surface and 5 mW / 5 mW transmit/amplifier split with one.  Powers are
-given in dBm or mW in configs and converted to linear watts once, when the
-derived objects (PowerBudget, ApArrayPattern, ErpModel) are built.  Their
-values are checked here, and nowhere else, with the config field path.
+The dataclasses are the schema: the parser (_build) and config_to_dict walk
+their fields, and a preset is a table of overrides of their defaults.  These
+reproduce the reference urban-macro setup: 2 GHz carrier, 200 kHz user
+bandwidth, -174 dBm/Hz receiver noise, -160 dBm/Hz amplifier noise, a 25 m
+AP serving 1.5 m UEs, 10 mW AP budget without a surface and 5 mW / 5 mW
+transmit/amplifier split with one.  Powers are given in dBm or mW and
+converted to watts once, when the derived objects (PowerBudget,
+ApArrayPattern, ErpModel) are built.  Their values are checked here, and
+nowhere else, with the config field path.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -27,10 +30,22 @@ from .link import MODES, PowerBudget
 from .patterns import ApArrayPattern, ErpModel, ap_average_gain
 from .planner import OBJECTIVES
 
-PRESETS = ("link_sweep", "medium_deploy", "split_1024", "widearea_coverage", "custom")
+# Each preset: the defaults with these overrides, given as in a config file.
+_PRESETS = {
+    "link_sweep": {"layout": {"kind": "none"}},
+    "medium_deploy": {"layout": {"kind": "medium"}, "deploy": {"splits": [2]}},
+    "split_1024": {"layout": {"kind": "medium"}, "deploy": {"splits": [1, 2, 4]}},
+    "widearea_coverage": {
+        "layout": {"kind": "wide", "num_ues": 200, "grid_w": 20.0, "grid_h": 7.0}
+    },
+    "custom": {},
+}
+PRESETS = tuple(_PRESETS)
 SOLVERS = ("greedy", "bnb", "exact")
 
 _VARIANT_RE = re.compile(r"^(active|passive)(\d+)_q(\d+(?:\.\d+)?)$")
+# Evaluating the annotation strings was most of a parse; once per class suffices.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 class ConfigError(ValueError):
@@ -257,6 +272,10 @@ class ScenarioConfig:
         ):
             if not (0 < value < math.inf):
                 raise ConfigError(f"{path}: the {what} is {value!r}, must be finite and > 0")
+        if ap.num_elements > sys.float_info.max:  # M G_e cos^2(tilt) would raise
+            raise ConfigError("ap.num_elements: must lie within the float range")
+        if ap.peak_gain == math.inf:  # a negative one fails the average gain below
+            raise ConfigError("ap.element_max_gain: the array peak gain M G_e cos^2(tilt) is inf")
         for path, what, value in (
             ("power.p_total_mw", "budget in W", budget.p_total),
             ("power.p_tx_max_mw", "transmit cap in W", budget.p_tx_max),
@@ -347,32 +366,26 @@ def _coerce(value, ftype, path: str):
     raise ConfigError(f"{path}: unsupported field type {ftype!r}")
 
 
-def _build_section(cls, data: dict, path: str):
+def _build(cls, base, data, path: str):
+    """base with the fields data gives, in field order: a dataclass-typed
+    field recurses, any other goes to _coerce.  path is "" at the root."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    hints = _type_hints(cls)
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
+        name = sorted(unknown)[0]
+        raise ConfigError(f"{path}.{name}: unknown field" if path else f"{name}: unknown section")
+    updates = {}
+    for f in fields:
         if f.name in data:
-            kwargs[f.name] = _coerce(data[f.name], hints[f.name], f"{path}.{f.name}")
-    return cls(**kwargs)
-
-
-_SECTIONS = {
-    "rf": RfConfig,
-    "power": PowerConfig,
-    "surface": SurfaceConfig,
-    "ap": ApConfig,
-    "layout": LayoutConfig,
-    "mc": McConfig,
-    "deploy": DeployConfig,
-    "coverage": CoverageConfig,
-    "sweep": SweepConfig,
-}
+            sub = f"{path}.{f.name}" if path else f.name
+            if dataclasses.is_dataclass(hints[f.name]):
+                updates[f.name] = _build(hints[f.name], getattr(base, f.name), data[f.name], sub)
+            else:
+                updates[f.name] = _coerce(data[f.name], hints[f.name], sub)
+    return dataclasses.replace(base, **updates)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -386,44 +399,20 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root: expected a mapping")
-    known = set(_SECTIONS) | {"preset", "master_seed"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown section")
-    preset = data.get("preset", "custom")
-    if not isinstance(preset, str) or preset not in PRESETS:
-        raise ConfigError(f"preset: must be one of {PRESETS}, got {preset!r}")
-    base = experiment_preset(preset) if preset != "custom" else ScenarioConfig()
-    updates: dict = {"preset": preset}
-    if "master_seed" in data:
-        updates["master_seed"] = _coerce(data["master_seed"], int, "master_seed")
-    for key, cls in _SECTIONS.items():
-        if key in data:
-            section = data[key]
-            if not isinstance(section, dict):
-                raise ConfigError(f"{key}: expected a mapping")
-            merged = dataclasses.asdict(getattr(base, key))
-            # asdict turns tuples into lists; _coerce restores them
-            merged.update(section)
-            updates[key] = _build_section(cls, merged, key)
-    return dataclasses.replace(base, **updates)
+    return _build(ScenarioConfig, experiment_preset(data.get("preset", "custom")), data, "")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain nested-dict form; config_from_dict inverts it exactly."""
+    """Plain nested-dict form, tuples as lists; config_from_dict inverts it exactly."""
 
     def plain(value):
+        if dataclasses.is_dataclass(value):
+            return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
         if isinstance(value, tuple):
             return [plain(v) for v in value]
         return value
 
-    out: dict = {"preset": cfg.preset, "master_seed": cfg.master_seed}
-    for key in _SECTIONS:
-        out[key] = {
-            f.name: plain(getattr(getattr(cfg, key), f.name))
-            for f in dataclasses.fields(getattr(cfg, key))
-        }
-    return out
+    return plain(cfg)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -441,35 +430,6 @@ def scenario_fingerprint(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# Presets --------------------------------------------------------------------
-
-
 def experiment_preset(name: str) -> ScenarioConfig:
-    """Fully populated configuration of one canned experiment."""
-    if name == "link_sweep":
-        return ScenarioConfig(preset="link_sweep", layout=LayoutConfig(kind="none"))
-    if name == "medium_deploy":
-        return ScenarioConfig(
-            preset="medium_deploy",
-            layout=LayoutConfig(kind="medium"),
-            deploy=DeployConfig(splits=(2,)),
-        )
-    if name == "split_1024":
-        return ScenarioConfig(
-            preset="split_1024",
-            layout=LayoutConfig(kind="medium"),
-            deploy=DeployConfig(splits=(1, 2, 4)),
-        )
-    if name == "widearea_coverage":
-        return ScenarioConfig(
-            preset="widearea_coverage",
-            layout=LayoutConfig(
-                kind="wide",
-                num_ues=200,
-                grid_w=20.0,
-                grid_h=7.0,
-            ),
-        )
-    if name == "custom":
-        return ScenarioConfig()
-    raise ConfigError(f"preset: unknown preset {name!r}")
+    """One canned experiment; ScenarioConfig checks the name."""
+    return _build(ScenarioConfig, ScenarioConfig(preset=name), _PRESETS[name], "")

@@ -342,10 +342,11 @@ def scatter_street_points(
     for a given generator state.
     """
     # Disks of radius s/2 around the points are disjoint and lie in the
-    # area grown by that radius, so their total area bounds count.
+    # area grown by that radius, so their total area bounds count.  count
+    # stays an int, compared exactly: it may lie past the float range.
     s = STREET_SPACING
     width, depth = area_x[1] - area_x[0], area_y[1] - area_y[0]
-    if count * math.pi * s**2 / 4.0 > (width + s) * (depth + s):
+    if count > (width + s) * (depth + s) / (math.pi * s**2 / 4.0):
         raise RuntimeError(
             f"could not place {count} street points {s:g} m apart "
             f"in a {width:g} x {depth:g} m area"

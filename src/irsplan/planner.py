@@ -67,7 +67,6 @@ class MetricMatrix:
     mode: str
     n_elements: int
     n_mc: int
-    master_seed: int
 
     @property
     def num_ues(self) -> int:
@@ -535,7 +534,6 @@ def build_metric_matrices(
             mode=mode,
             n_elements=n_elements,
             n_mc=n_mc,
-            master_seed=master_seed,
         )
         for mode in modes
     }

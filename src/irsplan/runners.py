@@ -17,9 +17,9 @@ import numpy as np
 from . import __version__
 from .channel import leg_stats
 from .config import ConfigError, ScenarioConfig, parse_variant, scenario_fingerprint
-from .geometry import filter_candidates_by_ap_los, generate_candidate_spots
+from .geometry import filter_candidates_by_ap_los, generate_candidate_spots, link_geometry
 from .link import rate_and_snr_db, snr_series
-from .patterns import ErpModel
+from .patterns import ErpModel, ap_pattern_value
 from .planner import (
     MetricMatrix,
     PlanProblem,
@@ -87,13 +87,15 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
                 rate, avg_db = ap_only
             else:
                 erp = ErpModel(q)
-                try:
-                    stats_i = leg_stats(
-                        "ap_irs", ap, spot, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
-                    )
-                    stats_r = leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal)
-                except ValueError as exc:  # the surface on or straight above an end
+                try:  # the surface on a link end, or straight above the AP
+                    ap_pattern_value(ap_pattern, link_geometry(ap, spot).depression_deg)
+                    link_geometry(ue, spot)
+                except ValueError as exc:
                     raise ConfigError(f"sweep.r_ai_m[{pi}]: surface at {spot}: {exc}") from exc
+                stats_i = leg_stats(
+                    "ap_irs", ap, spot, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
+                )
+                stats_r = leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal)
                 series = snr_series(
                     stats_d,
                     stats_i,

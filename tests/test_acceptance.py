@@ -253,7 +253,7 @@ def test_criterion_06_solver_correctness():
         matrix = MetricMatrix(
             rates=v,
             avg_snr_db=10.0 * np.log10(np.maximum(v, 1e-300)),
-            mode="passive", n_elements=1, n_mc=1, master_seed=0,
+            mode="passive", n_elements=1, n_mc=1,
         )
         problem = PlanProblem(matrix=matrix, num_surfaces=j)
         ok = ok and solve_exact(problem).objective_value == best

@@ -99,6 +99,8 @@ UNCONVERTIBLE = [
     ({"surface": {"erp_exponent": 1e308}}, "surface.erp_exponent"),
     ({"ap": {"element_spacing_wavelengths": 1e-323}}, "ap.element_spacing_wavelengths"),
     ({"ap": {"element_max_gain": 5e-324, "tilt_deg": 89.0}}, "ap.element_max_gain"),
+    ({"ap": {"element_max_gain": 1.0e308}}, "ap.element_max_gain"),  # an infinite peak gain
+    ({"ap": {"num_elements": 10**400}}, "ap.num_elements"),  # no float holds M
 ]
 
 
@@ -124,6 +126,8 @@ UNCONVERTIBLE = [
         # on candidate spot 0 of the building's -x face
         ({"layout": {"ues_xy": [[0.0, -40.0], [20.0, -15.0]], "ue_height": 8.5}}, [], "layout.ues_xy[1]"),
         *[(override, [], field) for override, field in UNCONVERTIBLE],
+        # more street UEs than floats can count
+        ({"layout": {"num_ues": 10**400, "ues_xy": None}}, [], "layout.num_ues"),
     ],
 )
 def test_bad_model_inputs_name_their_field(tmp_path, capsys, override, extra, field):
@@ -154,19 +158,29 @@ def test_sweep_exponent_whose_peak_gain_overflows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, base",
-    [("deploy", "tiny"), ("coverage", "tiny"), ("stats", "tiny"), ("link-sweep", "sweep")],
+    "command, base, f_c",
+    [
+        ("deploy", "tiny", 1.0e-300),
+        ("coverage", "tiny", 1.0e-300),
+        ("stats", "tiny", 1.0e-300),
+        ("link-sweep", "sweep", 1.0e-300),
+        # the direct leg stays finite; the 20 m AP-surface leg overflows
+        ("link-sweep", "sweep", 1.0e-158),
+    ],
+    ids=["deploy-tiny", "coverage-tiny", "stats-tiny", "link-sweep-sweep", "link-sweep-surface-leg"],
 )
-def test_carrier_whose_path_gain_overflows(tmp_path, capsys, command, base):
+def test_carrier_whose_path_gain_overflows(tmp_path, capsys, command, base, f_c):
     # 1e-300 GHz passes validate (a finite wavelength), but its path gain
     # of some +5900 dB leaves the float range on the first leg
     cfg = yaml.safe_load(TINY_CUSTOM.read_text(encoding="utf-8"))
-    cfg = _with({"rf": {"f_c_ghz": 1.0e-300}}, cfg if base == "tiny" else {"preset": "link_sweep"})
+    cfg = _with({"rf": {"f_c_ghz": f_c}}, cfg if base == "tiny" else {"preset": "link_sweep"})
     path = tmp_path / "low_carrier.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     assert main(["validate", "-c", str(path), "-o", str(tmp_path / "v")]) == 0
     assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: rf.f_c_ghz: 1e-300 GHz")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: rf.f_c_ghz: {f_c!r} GHz")
+    assert "sweep.r_ai_m" not in err
 
 
 def test_unallocatable_sizes_are_an_error_line(tmp_path, capsys):

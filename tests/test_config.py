@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -144,6 +145,12 @@ def test_unknown_fields_name_their_path():
         config_from_dict({"rf": {"f_c_ghz": "fast"}})
     with pytest.raises(ConfigError, match="mc.n_mc"):
         config_from_dict({"mc": {"n_mc": 2.5}})
+    with pytest.raises(ConfigError, match="^config root: expected a mapping$"):
+        config_from_dict([])
+    with pytest.raises(ConfigError, match="^rf: expected a mapping$"):
+        config_from_dict({"rf": 5})
+    with pytest.raises(ConfigError, match="^layout.kind: expected a string, got 5$"):
+        config_from_dict({"layout": {"kind": 5}})
 
 
 def test_enum_fields_are_validated():
@@ -214,6 +221,20 @@ def test_fingerprint_stability():
     assert a == scenario_fingerprint(ScenarioConfig())
     assert len(a) == 16 and all(c in "0123456789abcdef" for c in a)
     assert a != scenario_fingerprint(ScenarioConfig(master_seed=8))
+
+
+def test_preset_fingerprints_are_frozen():
+    # every output embeds these; a schema or preset edit that moves one shows here
+    frozen = {
+        "link_sweep": "d44cea44ababee8b",
+        "medium_deploy": "9a847fb568a57b31",
+        "split_1024": "4c63959a608890ad",
+        "widearea_coverage": "e6ed77c68f2fe296",
+        "custom": "ef5ba1bbb23abc9d",
+    }
+    assert {name: scenario_fingerprint(experiment_preset(name)) for name in frozen} == frozen
+    tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny_custom.yaml"
+    assert scenario_fingerprint(load_config(str(tiny))) == "3daf0c1335290f07"
 
 
 # --- presets and scenes -----------------------------------------------------

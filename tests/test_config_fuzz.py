@@ -4,9 +4,10 @@ Each example starts from the full config of configs/tiny_custom.yaml and
 replaces one to three sections, fields or list entries with a wrong type,
 a negative number, zero, a tiny positive number (1e-9, which as a grid
 step would cut the facades into ~1e10 cells), a number at the edge of the
-float range (1e-320, +-1e308) or far below any noise floor (-4000 dBm),
-nan, +-inf, or (for a list) a list one entry too short or too long.  An
-exit 2 must come with a `config error: ` line naming the field.
+float range (1e-320, +-1e308), an integer past it (10**400), a number far
+below any noise floor (-4000 dBm), nan, +-inf, or (for a list) a list one
+entry too short or too long.  An exit 2 must come with a `config error: `
+line naming the field.
 """
 
 import contextlib
@@ -28,7 +29,7 @@ BASE = config_to_dict(load_config(str(TINY)))
 
 WRONG = [
     "x", True, None, {}, -1, -2.5, 0, 0.0, 1e-9, 1e-320, 1e308, -1e308, -4000.0,
-    math.nan, math.inf, -math.inf,
+    math.nan, math.inf, -math.inf, 10**400,
 ]
 
 

@@ -59,7 +59,6 @@ def mat(values, snr_db=None) -> MetricMatrix:
         mode="passive",
         n_elements=1,
         n_mc=1,
-        master_seed=0,
     )
 
 
