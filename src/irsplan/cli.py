@@ -34,9 +34,8 @@ from .config import (
     experiment_preset,
     load_config,
 )
-from .link import rate_and_snr_db, snr_series
 from .patterns import ap_pattern_value, erp_value
-from .planner import link_stats_grid
+from .planner import build_metric_matrices, link_stats_grid
 from .runners import (
     header_meta,
     run_coverage,
@@ -44,7 +43,6 @@ from .runners import (
     run_link_sweep,
     scene_and_spots,
 )
-from .seeds import STREAM_FADING
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,23 +50,15 @@ EXIT_BUDGET = 3
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "-inf" if value < 0 else "inf"
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_csv(path: str, meta: dict, rows: list[dict]):
     """CSV with leading '# key: value' metadata comment lines."""
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    if rows:
-        cols = list(rows[0].keys())
-        lines.append(",".join(cols))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
-    text = "\n".join(lines) + "\n"
-    _write_text(path, text)
+    cols = list(rows[0].keys())
+    lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(cols)]
+    lines += [",".join(_fmt(row[c]) for c in cols) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, payload: dict):
@@ -174,17 +164,16 @@ def _cmd_stats(args) -> int:
         raise ConfigError(f"--ue: must lie in [0, {scene.num_ues - 1}]")
     if not (0 <= args.spot < len(spots)):
         raise ConfigError(f"--spot: must lie in [0, {len(spots) - 1}]")
-    grid = link_stats_grid(
-        scene, [spots[args.spot]], cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz
-    )
-    series = snr_series(
-        grid.direct[args.ue],
-        grid.ap_irs[0],
-        grid.irs_ue[args.ue][0],
-        cfg.surface.n_elements,
+    # the 1 x 1 grid of the pair; origin keys its draws as in the full matrices
+    one_ue = dataclasses.replace(scene, ues=scene.ues[args.ue : args.ue + 1])
+    pair = link_stats_grid(one_ue, [spots[args.spot]], cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
+    matrices = build_metric_matrices(
+        pair,
         cfg.budget(),
+        n_elements=cfg.surface.n_elements,
         n_mc=cfg.mc.n_mc,
-        seed_path=(cfg.master_seed, STREAM_FADING, args.ue, args.spot),
+        master_seed=cfg.master_seed,
+        origin=(args.ue, args.spot),
     )
 
     def stats_dict(s):
@@ -201,15 +190,16 @@ def _cmd_stats(args) -> int:
         "ue": args.ue,
         "spot": args.spot,
         "legs": {
-            "ap_ue": stats_dict(grid.direct[args.ue]),
-            "ap_irs": stats_dict(grid.ap_irs[0]),
-            "irs_ue": stats_dict(grid.irs_ue[args.ue][0]),
+            "ap_ue": stats_dict(pair.direct[0]),
+            "ap_irs": stats_dict(pair.ap_irs[0]),
+            "irs_ue": stats_dict(pair.irs_ue[0][0]),
         },
         "metrics": {
-            mode: dict(
-                zip(("ergodic_rate_bps_hz", "avg_snr_db"), rate_and_snr_db(g))
-            )
-            for mode, g in series.items()
+            mode: {
+                "ergodic_rate_bps_hz": float(m.rates[0, 0]),
+                "avg_snr_db": float(m.avg_snr_db[0, 0]),
+            }
+            for mode, m in matrices.items()
         },
     }
     write_json(args.out, payload)

@@ -226,6 +226,17 @@ class ScenarioConfig:
         lo, hi = self.layout.building_height_range
         if not (0 < lo <= hi):
             raise ConfigError("layout.building_height_range: need 0 < low <= high")
+        for path, entries in (  # what a study iterates over
+            ("deploy.splits", self.deploy.splits),
+            ("deploy.modes", self.deploy.modes),
+            ("coverage.num_surfaces", self.coverage.num_surfaces),
+            ("coverage.thresholds_db", self.coverage.thresholds_db),
+            ("coverage.modes", self.coverage.modes),
+            ("sweep.r_ai_m", self.sweep.r_ai_m),
+            ("sweep.variants", self.sweep.variants),
+        ):
+            if not entries:
+                raise ConfigError(f"{path}: must list at least one entry")
         for s in self.deploy.splits:
             if s < 1:
                 raise ConfigError("deploy.splits: entries must be >= 1")
@@ -276,13 +287,19 @@ class ScenarioConfig:
             raise ConfigError("ap.num_elements: must lie within the float range")
         if ap.peak_gain == math.inf:  # a negative one fails the average gain below
             raise ConfigError("ap.element_max_gain: the array peak gain M G_e cos^2(tilt) is inf")
+        # quadrature over the array pattern, hence after the lengths
+        avg_gain = ap_average_gain(ap)
+        if math.isnan(avg_gain):  # sin() of an array-factor phase past the float range
+            raise ConfigError(
+                "ap.element_spacing_wavelengths: the array-factor phase pi M d_e / lambda"
+                " overflows (with ap.num_elements)"
+            )
         for path, what, value in (
             ("power.p_total_mw", "budget in W", budget.p_total),
             ("power.p_tx_max_mw", "transmit cap in W", budget.p_tx_max),
             ("rf.noise_psd_dbm_hz", "noise PSD in W/Hz", budget.noise_psd),
             ("rf.bandwidth_hz", "noise power N0 B in W", budget.noise_power),
-            # quadrature over the array pattern, hence after the lengths
-            ("ap.element_max_gain", "average array gain", ap_average_gain(ap)),
+            ("ap.element_max_gain", "average array gain", avg_gain),
         ):
             if not (value > 0):
                 raise ConfigError(f"{path}: the {what} is {value!r}, must be > 0")

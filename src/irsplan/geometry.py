@@ -60,8 +60,6 @@ class Building:
         object.__setattr__(self, "max_corner", tuple(map(float, mx)))
         if not np.all(mx > mn):
             raise ValueError("max_corner must exceed min_corner componentwise")
-        if abs(mn[2]) > _FACE_TOL:
-            raise ValueError("buildings must stand on the ground plane z=0")
 
     @property
     def height(self) -> float:
@@ -91,16 +89,12 @@ class Scene:
         )
         object.__setattr__(self, "area_x", tuple(map(float, self.area_x)))
         object.__setattr__(self, "area_y", tuple(map(float, self.area_y)))
-        if not (self.area_x[0] < self.area_x[1] and self.area_y[0] < self.area_y[1]):
-            raise ValueError("area bounds must be increasing")
         for u in self.ues:
             if not (
                 self.area_x[0] <= u[0] <= self.area_x[1]
                 and self.area_y[0] <= u[1] <= self.area_y[1]
             ):
                 raise ValueError(f"UE {u} lies outside the scene area")
-            if u[2] >= self.ap_position[2]:
-                raise ValueError("UEs must sit below the AP")
             for b in self.buildings:
                 mn, mx = b.min_corner, b.max_corner
                 if (

@@ -11,6 +11,9 @@ strong warm start.
 All solvers score a subset with the identical expression
 float(V[:, cols].max(axis=1).mean()), so their optima agree bit-for-bit
 with brute-force enumeration.
+
+The matrices come from build_metric_matrices, the one Monte Carlo path of
+every study: deploy, coverage, the link sweep and stats.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .channel import LinkStats, leg_stats
 from .geometry import CandidateSpot, Scene, los_clear_many
 from .link import PowerBudget, fairness_index, rate_and_snr_db, snr_series
 from .patterns import ApArrayPattern, ErpModel
-from .seeds import STREAM_DIRECT, STREAM_FADING
+from .seeds import STREAM_FADING
 
 OBJECTIVES = ("mean_ergodic_rate", "coverage_count")
 
@@ -67,14 +70,6 @@ class MetricMatrix:
     mode: str
     n_elements: int
     n_mc: int
-
-    @property
-    def num_ues(self) -> int:
-        return int(self.rates.shape[0])
-
-    @property
-    def num_spots(self) -> int:
-        return int(self.rates.shape[1])
 
 
 @dataclass(frozen=True)
@@ -370,7 +365,7 @@ def solve_exact(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolut
     its node budget is hit).
     """
     v = problem.values()
-    m = problem.matrix.num_spots
+    m = v.shape[1]
     j = problem.num_surfaces
     if math.comb(m, j) > COMBINATION_LIMIT:
         return solve_bnb(problem, node_budget=node_budget)
@@ -499,17 +494,19 @@ def build_metric_matrices(
     n_mc: int,
     master_seed: int,
     modes: tuple[str, ...] = ("active", "passive"),
+    origin: tuple[int, int] = (0, 0),
     pool=None,
     blocks: int = 1,
 ) -> dict[str, MetricMatrix]:
     """Monte Carlo metric matrices, one per requested surface mode.
 
-    Both modes reuse the same fading draws per (UE, spot) pair, and the
-    per-element draws do not depend on n_elements, so matrices across modes
-    and element counts are paired experiments.  Every pair draws from its
-    own substream, so building ``blocks`` contiguous blocks of UE rows, on
-    ``pool`` (a concurrent.futures executor) when one is given, gives
-    bit-identical matrices.
+    Entry [u, m] draws from the substream of the global (UE, spot) pair
+    origin + (u, m), so a grid cut out of a larger one gives its entries.
+    Both modes reuse the same fading draws per pair, and the per-element
+    draws do not depend on n_elements, so matrices across modes and element
+    counts are paired experiments.  Building ``blocks`` contiguous blocks
+    of UE rows, on ``pool`` (a concurrent.futures executor) when one is
+    given, gives bit-identical matrices.
     """
     parts = _map_blocks(
         pool,
@@ -517,7 +514,7 @@ def build_metric_matrices(
         [
             (
                 StatsGrid(grid.direct[lo:hi], grid.ap_irs, grid.irs_ue[lo:hi]),
-                lo,
+                (origin[0] + lo, origin[1]),
                 budget,
                 n_elements,
                 n_mc,
@@ -541,20 +538,20 @@ def build_metric_matrices(
 
 def _metric_rows(
     grid: StatsGrid,
-    first: int,
+    first: tuple[int, int],
     budget: PowerBudget,
     n_elements: int,
     n_mc: int,
     master_seed: int,
     modes: tuple[str, ...],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(rates, avg SNR dB) rows per mode of a grid whose UE rows start at
-    global UE index ``first``, which keys the fading substreams."""
+    """(rates, avg SNR dB) rows per mode of a grid whose entry [0, 0] is the
+    global (UE, spot) pair ``first``; the global pair keys the fading
+    substream, here and nowhere else."""
     u, m = grid.num_ues, grid.num_spots
     rates = {mode: np.empty((u, m)) for mode in modes}
     snr_db = {mode: np.empty((u, m)) for mode in modes}
     for i in range(u):
-        ui = first + i
         for mi in range(m):
             series = snr_series(
                 grid.direct[i],
@@ -563,34 +560,9 @@ def _metric_rows(
                 n_elements,
                 budget,
                 n_mc=n_mc,
-                seed_path=(master_seed, STREAM_FADING, ui, mi),
+                seed_path=(master_seed, STREAM_FADING, first[0] + i, first[1] + mi),
                 modes=modes,
             )
             for mode, gamma in series.items():
                 rates[mode][i, mi], snr_db[mode][i, mi] = rate_and_snr_db(gamma)
     return {mode: (rates[mode], snr_db[mode]) for mode in modes}
-
-
-def direct_only_metrics(
-    direct: tuple[LinkStats, ...],
-    budget: PowerBudget,
-    n_mc: int,
-    master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-UE (rate, avg SNR dB) with no surface deployed at all."""
-    u = len(direct)
-    rates = np.empty(u)
-    snr_db = np.empty(u)
-    for ui in range(u):
-        series = snr_series(
-            direct[ui],
-            None,
-            None,
-            0,
-            budget,
-            n_mc=n_mc,
-            seed_path=(master_seed, STREAM_DIRECT, ui),
-            modes=("passive",),
-        )
-        rates[ui], snr_db[ui] = rate_and_snr_db(series["passive"])
-    return rates, snr_db

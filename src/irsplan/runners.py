@@ -1,10 +1,11 @@
 """Experiment drivers: link-rate sweep, split deployment, coverage study.
 
 Each runner turns a ScenarioConfig into plain rows/dicts ready for CSV or
-JSON serialization.  All outputs embed the tool version and the scenario
-fingerprint, every random draw goes through seeded substreams, and floats
-are emitted with repr precision, so identical configurations produce
-byte-identical files.
+JSON serialization; surface metrics come from planner.build_metric_matrices
+(the link sweep's too) and the no-surface baseline from direct_only_metrics.
+Outputs embed the tool version and the scenario fingerprint, draws go
+through seeded substreams and floats are emitted with repr precision, so
+identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,19 +16,19 @@ import os
 import numpy as np
 
 from . import __version__
-from .channel import leg_stats
+from .channel import LinkStats, leg_stats
 from .config import ConfigError, ScenarioConfig, parse_variant, scenario_fingerprint
 from .geometry import filter_candidates_by_ap_los, generate_candidate_spots, link_geometry
-from .link import rate_and_snr_db, snr_series
+from .link import PowerBudget, rate_and_snr_db, snr_series
 from .patterns import ErpModel, ap_pattern_value
 from .planner import (
     MetricMatrix,
     PlanProblem,
     PlanSolution,
+    StatsGrid,
     _greedy,
     _solution,
     build_metric_matrices,
-    direct_only_metrics,
     evaluate_plan,
     link_stats_grid,
     solve_bnb,
@@ -35,7 +36,7 @@ from .planner import (
     solve_greedy_swap,
 )
 from .presets import build_scene
-from .seeds import STREAM_FADING
+from .seeds import STREAM_DIRECT
 
 def _solve(problem: PlanProblem, solver: str, node_budget: int) -> PlanSolution:
     if solver == "greedy":
@@ -61,10 +62,10 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
 
     The surface slides along a straight street between the AP and a fixed
     far UE; the AP-surface and surface-UE legs are line-of-sight and the
-    direct AP-UE link is not.  All variants at one distance share fading
-    draws (and element draws are prefix-consistent across element counts),
-    while the no-surface baseline uses a distance-independent stream, so
-    its row is computed once and repeated at every distance.
+    direct AP-UE link is not.  Each surface variant is a one-UE grid with a
+    spot per distance, so all variants at one distance share fading draws
+    (element draws are prefix-consistent across element counts); the
+    no-surface baseline's distance-independent row is computed once.
     """
     sweep = cfg.sweep
     budget = cfg.budget()
@@ -74,50 +75,52 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
     normal = (0.0, -1.0, 0.0)
     f_c = cfg.rf.f_c_ghz
     stats_d = leg_stats("ap_ue", ap, ue, f_c, False, ap_pattern=ap_pattern)
+    spots = [(float(r_ai), sweep.irs_y, sweep.irs_z) for r_ai in sweep.r_ai_m]
 
     variants = [(label, *parse_variant(label)) for label in sweep.variants]
-    if any(mode == "none" for _, mode, _, _ in variants):
-        rates, snr_db = direct_only_metrics((stats_d,), budget, sweep.n_mc, cfg.master_seed)
-        ap_only = float(rates[0]), float(snr_db[0])
-    rows = []
-    for pi, r_ai in enumerate(sweep.r_ai_m):
-        spot = (float(r_ai), sweep.irs_y, sweep.irs_z)
-        for label, mode, n_elements, q in variants:
-            if mode == "none":
-                rate, avg_db = ap_only
-            else:
-                erp = ErpModel(q)
-                try:  # the surface on a link end, or straight above the AP
-                    ap_pattern_value(ap_pattern, link_geometry(ap, spot).depression_deg)
-                    link_geometry(ue, spot)
-                except ValueError as exc:
-                    raise ConfigError(f"sweep.r_ai_m[{pi}]: surface at {spot}: {exc}") from exc
-                stats_i = leg_stats(
-                    "ap_irs", ap, spot, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
-                )
-                stats_r = leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal)
-                series = snr_series(
-                    stats_d,
-                    stats_i,
-                    stats_r,
-                    n_elements,
-                    budget,
-                    n_mc=sweep.n_mc,
-                    seed_path=(cfg.master_seed, STREAM_FADING, 0, pi),
-                    modes=(mode,),
-                )[mode]
-                rate, avg_db = rate_and_snr_db(series)
-            rows.append(
-                {
-                    "r_ai_m": float(r_ai),
-                    "variant": label,
-                    "mode": mode,
-                    "n_elements": n_elements,
-                    "erp_exponent": q if q is not None else "",
-                    "ergodic_rate_bps_hz": rate,
-                    "avg_snr_db": avg_db,
-                }
+    if any(mode != "none" for _, mode, _, _ in variants):
+        for pi, spot in enumerate(spots):
+            try:  # the surface on a link end, or straight above the AP
+                ap_pattern_value(ap_pattern, link_geometry(ap, spot).depression_deg)
+                link_geometry(ue, spot)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.r_ai_m[{pi}]: surface at {spot}: {exc}") from exc
+    metrics = {}  # label -> (rate, avg SNR dB) per distance
+    for label, mode, n_elements, q in variants:
+        if mode == "none":
+            rates, snr_db = direct_only_metrics((stats_d,), budget, sweep.n_mc, cfg.master_seed)
+            metrics[label] = [(float(rates[0]), float(snr_db[0]))] * len(spots)
+            continue
+        erp = ErpModel(q)
+        legs = [
+            (
+                leg_stats(
+                    "ap_irs", ap, s, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
+                ),
+                leg_stats("irs_ue", ue, s, f_c, True, erp=erp, normal=normal),
             )
+            for s in spots
+        ]
+        ap_irs, irs_ue = zip(*legs)
+        grid = StatsGrid((stats_d,), ap_irs, (irs_ue,))
+        matrix = build_metric_matrices(
+            grid, budget, n_elements=n_elements, n_mc=sweep.n_mc,
+            master_seed=cfg.master_seed, modes=(mode,),
+        )[mode]
+        metrics[label] = list(zip(matrix.rates[0].tolist(), matrix.avg_snr_db[0].tolist()))
+    rows = [
+        {
+            "r_ai_m": spot[0],
+            "variant": label,
+            "mode": mode,
+            "n_elements": n_elements,
+            "erp_exponent": q if q is not None else "",
+            "ergodic_rate_bps_hz": metrics[label][pi][0],
+            "avg_snr_db": metrics[label][pi][1],
+        }
+        for pi, spot in enumerate(spots)
+        for label, mode, n_elements, q in variants
+    ]
     return {"meta": header_meta(cfg), "rows": rows}
 
 
@@ -238,6 +241,25 @@ def _plan_entry(
         "fairness": report.fairness,
         "coverage": {f"{t:g}": r for t, r in report.coverage.items()},
     }
+
+
+def direct_only_metrics(
+    direct: tuple[LinkStats, ...],
+    budget: PowerBudget,
+    n_mc: int,
+    master_seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-UE (rate, avg SNR dB) with no surface deployed at all."""
+    u = len(direct)
+    rates = np.empty(u)
+    snr_db = np.empty(u)
+    for ui in range(u):
+        series = snr_series(
+            direct[ui], None, None, 0, budget,
+            n_mc=n_mc, seed_path=(master_seed, STREAM_DIRECT, ui), modes=("passive",),
+        )
+        rates[ui], snr_db[ui] = rate_and_snr_db(series["passive"])
+    return rates, snr_db
 
 
 def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, element_counts, modes):

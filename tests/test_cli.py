@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import yaml
 
 from irsplan.cli import main, write_csv, write_json
 from irsplan.config import load_config, scenario_fingerprint
+from irsplan.patterns import ap_average_gain
 from irsplan.presets import build_scene
 from irsplan.runners import candidate_spots, parse_variant
 
@@ -101,6 +103,8 @@ UNCONVERTIBLE = [
     ({"ap": {"element_max_gain": 5e-324, "tilt_deg": 89.0}}, "ap.element_max_gain"),
     ({"ap": {"element_max_gain": 1.0e308}}, "ap.element_max_gain"),  # an infinite peak gain
     ({"ap": {"num_elements": 10**400}}, "ap.num_elements"),  # no float holds M
+    # an array-factor phase pi M d_e / lambda past the float range
+    ({"ap": {"element_spacing_wavelengths": 1.0e308}}, "ap.element_spacing_wavelengths"),
 ]
 
 
@@ -143,6 +147,44 @@ def test_validate_refuses_unconvertible_figures(tmp_path, capsys, override, fiel
     path.write_text(yaml.safe_dump(_with(override)), encoding="utf-8")
     assert main(["validate", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+def test_overflowing_array_phase_warns_nothing(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        yaml.safe_dump(_with({"ap": {"element_spacing_wavelengths": 1.0e308}})), encoding="utf-8"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in ("validate", "deploy"):
+            ap_average_gain.cache_clear()  # a cached gain would skip the quadrature
+            assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ap.element_spacing_wavelengths:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "section, key, command",
+    [
+        ("deploy", "splits", "deploy"),
+        ("deploy", "modes", "deploy"),
+        ("coverage", "num_surfaces", "coverage"),
+        ("coverage", "thresholds_db", "coverage"),
+        ("coverage", "modes", "coverage"),
+        ("sweep", "r_ai_m", "link-sweep"),
+        ("sweep", "variants", "link-sweep"),
+    ],
+)
+def test_empty_study_list_is_refused(tmp_path, capsys, section, key, command):
+    # it used to exit 0 with a headerless CSV or "results": []
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_with({section: {key: []}})), encoding="utf-8")
+    for cmd in ("validate", command):
+        assert main([cmd, "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {section}.{key}: must list at least one entry\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_sweep_exponent_whose_peak_gain_overflows(tmp_path, capsys):

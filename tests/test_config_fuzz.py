@@ -29,7 +29,7 @@ BASE = config_to_dict(load_config(str(TINY)))
 
 WRONG = [
     "x", True, None, {}, -1, -2.5, 0, 0.0, 1e-9, 1e-320, 1e308, -1e308, -4000.0,
-    math.nan, math.inf, -math.inf, 10**400,
+    math.nan, math.inf, -math.inf, 10**400, [],
 ]
 
 

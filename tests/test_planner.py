@@ -15,13 +15,12 @@ from irsplan.planner import (
     PlanSolution,
     StatsGrid,
     build_metric_matrices,
-    direct_only_metrics,
     evaluate_plan,
     solve_bnb,
     solve_exact,
     solve_greedy_swap,
 )
-from irsplan.runners import _extend_plan
+from irsplan.runners import _extend_plan, direct_only_metrics
 from irsplan.seeds import STREAM_DIRECT
 
 from oracles import IrsUnit, best_assignment_value, brute_force_plan, snr_optimal

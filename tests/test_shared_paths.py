@@ -1,24 +1,33 @@
 """One implementation per step: the scalar twins run the production kernel,
-scenes and spots fail through one error path, and start-up needs no scipy."""
+every (UE, spot) draw goes through one Monte Carlo path, scenes and spots
+fail through one error path, and start-up needs no scipy."""
 
+import ast
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import irsplan
-from irsplan.channel import LinkStats
+from irsplan.channel import LinkStats, leg_stats
 from irsplan.cli import main
+from irsplan.config import config_from_dict, load_config, parse_variant
 from irsplan.geometry import scatter_street_points
-from irsplan.link import PowerBudget, _amp_chunk, snr_from_sums
-from irsplan.seeds import LEG_AP_IRS, LEG_IRS_UE, substream
+from irsplan.link import MODES, PowerBudget, _amp_chunk, rate_and_snr_db, snr_from_sums, snr_series
+from irsplan.patterns import ErpModel
+from irsplan.runners import _grid_and_matrices, run_link_sweep, scene_and_spots
+from irsplan.seeds import LEG_AP_IRS, LEG_IRS_UE, STREAM_FADING, substream
 
 from oracles import sample_fading
 
 BUDGET = PowerBudget(p_total=0.01, p_tx_max=0.005, bandwidth=200e3, noise_psd=1e-20)
+ROOT = Path(__file__).resolve().parents[1]
+TINY = ROOT / "configs" / "tiny_custom.yaml"
 
 
 @pytest.mark.parametrize("k_tilde", [2.5, math.inf])
@@ -70,3 +79,110 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# --- one Monte Carlo path ---------------------------------------------------
+
+def _scopes(match) -> set[str]:
+    """"module.function" (or "module" at top level) of every AST node in
+    src/irsplan that ``match`` accepts; seeds.py, which defines the tags, aside."""
+    found = set()
+
+    def visit(node, module, scope):
+        if match(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{module}.{child.name}"
+            visit(child, module, inner)
+
+    for path in sorted((ROOT / "src" / "irsplan").glob("*.py")):
+        if path.stem != "seeds":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path.stem)
+    return found
+
+
+def _names(name):
+    return lambda node: (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and _names(name)(node.func)
+
+
+def test_fading_substreams_are_keyed_in_one_place():
+    mc = {"planner._metric_rows", "runners.direct_only_metrics"}
+    assert _scopes(_names("STREAM_FADING")) == {"planner._metric_rows"}
+    assert _scopes(_calls("snr_series")) == mc
+    assert _scopes(_calls("rate_and_snr_db")) == mc
+    cli = ast.parse((ROOT / "src" / "irsplan" / "cli.py").read_text(encoding="utf-8"))
+    imported = {n.module for n in ast.walk(cli) if isinstance(n, ast.ImportFrom)}
+    assert not imported & {"link", "seeds"}
+
+
+def test_stats_equals_its_matrix_entry(capsys):
+    # stats builds a 1 x 1 grid at the pair's global index, so it must draw
+    # what the deploy/coverage matrices draw for that pair
+    cfg = load_config(str(TINY))
+    scene, spots = scene_and_spots(cfg)
+    n = cfg.surface.n_elements
+    matrices, _ = _grid_and_matrices(cfg, scene, spots, [n], MODES)
+    pairs = [(u, m) for u in range(scene.num_ues) for m in range(len(spots))]
+    assert len(pairs) == 12
+    for u, m in pairs:
+        assert main(["stats", "-c", str(TINY), "--ue", str(u), "--spot", str(m)]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert set(metrics) == set(MODES)
+        for mode in MODES:
+            assert metrics[mode] == {
+                "ergodic_rate_bps_hz": float(matrices[n][mode].rates[u, m]),
+                "avg_snr_db": float(matrices[n][mode].avg_snr_db[u, m]),
+            }
+
+
+def test_sweep_rows_draw_the_distance_substream():
+    # distance pi of the sweep is spot pi of a one-UE grid: (seed, FADING, 0, pi)
+    cfg = config_from_dict({
+        "preset": "link_sweep",
+        "master_seed": 11,
+        "sweep": {
+            "r_ai_m": [30.0, 120.0, 210.0],
+            "n_mc": 40,
+            "variants": ["active8_q1", "passive16_q3", "ap_only", "passive4_q1"],
+        },
+    })
+    sweep = cfg.sweep
+    ap = (0.0, 0.0, cfg.ap.height)
+    ue = (sweep.ue_x, sweep.ue_y, cfg.layout.ue_height)
+    normal = (0.0, -1.0, 0.0)
+    f_c = cfg.rf.f_c_ghz
+    stats_d = leg_stats("ap_ue", ap, ue, f_c, False, ap_pattern=cfg.ap_pattern())
+    rows = run_link_sweep(cfg)["rows"]
+    assert len(rows) == len(sweep.r_ai_m) * len(sweep.variants)
+    checked = 0
+    for k, row in enumerate(rows):
+        pi = k // len(sweep.variants)
+        assert row["r_ai_m"] == sweep.r_ai_m[pi]
+        assert row["variant"] == sweep.variants[k % len(sweep.variants)]
+        mode, n_elements, q = parse_variant(row["variant"])
+        if mode == "none":
+            continue
+        spot = (sweep.r_ai_m[pi], sweep.irs_y, sweep.irs_z)
+        erp = ErpModel(q)
+        series = snr_series(
+            stats_d,
+            leg_stats("ap_irs", ap, spot, f_c, True, ap_pattern=cfg.ap_pattern(), erp=erp,
+                      normal=normal),
+            leg_stats("irs_ue", ue, spot, f_c, True, erp=erp, normal=normal),
+            n_elements,
+            cfg.budget(),
+            n_mc=sweep.n_mc,
+            seed_path=(cfg.master_seed, STREAM_FADING, 0, pi),
+            modes=(mode,),
+        )[mode]
+        assert (row["ergodic_rate_bps_hz"], row["avg_snr_db"]) == rate_and_snr_db(series)
+        checked += 1
+    assert checked == 9

@@ -5,12 +5,12 @@
 
 The standing outputs are the four benchmark workloads at full size and
 seeds 1 and 2, coverage_wide at seeds 3-8, configs/tiny_custom.yaml run
-through deploy, coverage, spots, stats --ue 1 --spot 2 and pattern-dump,
-and validate of tiny_custom and of the four presets.  Each runs in this
-process through irsplan.cli.main against the sources in ./src; the
-workload configs come from perfbench/workloads.py, imported read-only.
-The manifest records the python and numpy versions it was made with,
-since float results may move with either.
+through deploy, coverage, spots, stats (--ue 1 --spot 2 and --ue 2
+--spot 3) and pattern-dump, and validate of tiny_custom and of the four
+presets.  Each runs in this process through irsplan.cli.main against the
+sources in ./src; the workload configs come from perfbench/workloads.py,
+imported read-only.  The manifest records the python and numpy versions
+it was made with, since float results may move with either.
 
 Exit 0 when every output matches, 1 naming each mismatch.  Takes about
 20 s on a 2-core machine.
@@ -35,6 +35,7 @@ TINY_COMMANDS = {
     "coverage": ("coverage",),
     "spots": ("spots",),
     "stats": ("stats", "--ue", "1", "--spot", "2"),
+    "stats-ue2-spot3": ("stats", "--ue", "2", "--spot", "3"),
     "pattern-dump": ("pattern-dump",),
 }
 
