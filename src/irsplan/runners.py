@@ -92,16 +92,11 @@ def run_link_sweep(cfg: ScenarioConfig) -> dict:
             metrics[label] = [(float(rates[0]), float(snr_db[0]))] * len(spots)
             continue
         erp = ErpModel(q)
-        legs = [
-            (
-                leg_stats(
-                    "ap_irs", ap, s, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal
-                ),
-                leg_stats("irs_ue", ue, s, f_c, True, erp=erp, normal=normal),
-            )
+        ap_irs = tuple(
+            leg_stats("ap_irs", ap, s, f_c, True, ap_pattern=ap_pattern, erp=erp, normal=normal)
             for s in spots
-        ]
-        ap_irs, irs_ue = zip(*legs)
+        )
+        irs_ue = tuple(leg_stats("irs_ue", ue, s, f_c, True, erp=erp, normal=normal) for s in spots)
         grid = StatsGrid((stats_d,), ap_irs, (irs_ue,))
         matrix = build_metric_matrices(
             grid, budget, n_elements=n_elements, n_mc=sweep.n_mc,

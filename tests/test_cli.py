@@ -177,7 +177,6 @@ def test_overflowing_array_phase_warns_nothing(tmp_path, capsys):
     ],
 )
 def test_empty_study_list_is_refused(tmp_path, capsys, section, key, command):
-    # it used to exit 0 with a headerless CSV or "results": []
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(_with({section: {key: []}})), encoding="utf-8")
     for cmd in ("validate", command):
