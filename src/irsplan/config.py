@@ -245,6 +245,15 @@ class ScenarioConfig:
                     f"deploy.splits: {s} does not divide surface.n_total"
                     f" = {self.surface.n_total}"
                 )
+        printed: dict[str, float] = {}  # deploy keys its coverage ratios by f"{t:g}"
+        for t in self.deploy.report_thresholds_db:
+            key = f"{t:g}"
+            if key in printed:
+                raise ConfigError(
+                    f"deploy.report_thresholds_db: {printed[key]!r} and {t!r}"
+                    f" both print as {key!r}"
+                )
+            printed[key] = t
         if self.deploy.objective not in OBJECTIVES:
             raise ConfigError(f"deploy.objective: must be one of {OBJECTIVES}")
         for path, solver in (

@@ -8,9 +8,12 @@ yields an admissible bound (partial value plus the top remaining
 single-spot marginal gains) for exact branch-and-bound and makes greedy a
 strong warm start.
 
-All solvers score a subset with the identical expression
+Every solver scores a spot subset with the one function _value,
 float(V[:, cols].max(axis=1).mean()), so their optima agree bit-for-bit
-with brute-force enumeration.
+with brute-force enumeration; _pad fills a short subset up to J and
+_solution builds the returned plan and its assignment once.  The coverage
+study's warm extension, _extend_plan, adds to the previous J's plan its
+best single additions, for when a heuristic's plan at J covers fewer UEs.
 
 The matrices come from build_metric_matrices, the one Monte Carlo path of
 every study: deploy, coverage, the link sweep and stats.
@@ -37,7 +40,10 @@ OBJECTIVES = ("mean_ergodic_rate", "coverage_count")
 # pruned, so float noise can only cost extra exploration, never the optimum;
 # swaps must improve by the same margin to be accepted.
 _BOUND_SLACK = 1e-12
-_SWAP_SLACK = 1e-12
+
+
+def _slack(x: float) -> float:
+    return _BOUND_SLACK * (1.0 + abs(x))
 
 
 @dataclass(frozen=True)
@@ -102,25 +108,27 @@ class PlanSolution:
     solve_stats: dict = field(default_factory=dict)
 
 
-def _objective(v: np.ndarray, cols: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-    """Canonical objective and per-UE assignment of a spot subset.
-
-    Ties go to the lowest spot id (argmax over id-sorted columns).
-    """
-    cols = tuple(sorted(cols))
-    sub = v[:, cols]
-    idx = np.argmax(sub, axis=1)
-    value = float(sub.max(axis=1).mean())
-    assignment = tuple(int(cols[i]) for i in idx)
-    return value, assignment
+def _value(v: np.ndarray, cols) -> float:
+    """The canonical objective of a spot subset: every user's best chosen
+    value, averaged.  Row maxima are exact, so the order of cols does not
+    change a bit of it."""
+    return float(v[:, cols].max(axis=1).mean())
 
 
-def _solution(v, cols, optimality, stats) -> PlanSolution:
-    value, assignment = _objective(v, tuple(cols))
+def _pad(chosen, m: int, j: int) -> list[int]:
+    """chosen topped up to j spots with the lowest unchosen of m ids."""
+    chosen = list(chosen)
+    return chosen + [c for c in range(m) if c not in chosen][: j - len(chosen)]
+
+
+def _solution(v, cols, optimality: str, stats: dict) -> PlanSolution:
+    """The plan of a spot subset: every UE on its best chosen spot, ties to
+    the lowest id (argmax over id-sorted columns)."""
+    cols = sorted(int(c) for c in cols)
     return PlanSolution(
-        chosen_spots=tuple(sorted(int(c) for c in cols)),
-        assignment=assignment,
-        objective_value=value,
+        chosen_spots=tuple(cols),
+        assignment=tuple(cols[i] for i in np.argmax(v[:, cols], axis=1).tolist()),
+        objective_value=_value(v, cols),
         optimality=optimality,
         solve_stats=stats,
     )
@@ -155,31 +163,24 @@ def solve_greedy_swap(problem: PlanProblem) -> PlanSolution:
     v = problem.values()
     m = v.shape[1]
     j = problem.num_surfaces
-    chosen, _ = _greedy(v, v.mean(axis=0), v, 0.0, j)  # c added to nothing covers v[:, c]
-    chosen += [c for c in range(m) if c not in chosen][: j - len(chosen)]
-    best_val, _ = _objective(v, tuple(chosen))
+    picks, _ = _greedy(v, v.mean(axis=0), v, 0.0, j)  # c added to nothing covers v[:, c]
+    chosen = _pad(picks, m, j)
+    best_val = _value(v, chosen)
     swaps = 0
-    improved = True
-    while improved:
-        improved = False
+    while True:
         best_move = None
         for out in sorted(chosen):
             rest = [c for c in chosen if c != out]
             for inc in range(m):
-                if inc in chosen:
-                    continue
-                val, _ = _objective(v, tuple(rest + [inc]))
-                if val > best_val + _SWAP_SLACK * (1.0 + abs(best_val)):
-                    best_val = val
-                    best_move = (out, inc)
-        if best_move is not None:
-            out, inc = best_move
-            chosen = [c for c in chosen if c != out] + [inc]
-            swaps += 1
-            improved = True
-    return _solution(
-        v, chosen, "heuristic", {"method": "greedy_swap", "swaps": swaps}
-    )
+                if inc not in chosen:
+                    val = _value(v, rest + [inc])
+                    if val > best_val + _slack(best_val):
+                        best_val, best_move = val, (out, inc)
+        if best_move is None:
+            return _solution(v, chosen, "heuristic", {"method": "greedy_swap", "swaps": swaps})
+        out, inc = best_move
+        chosen = [c for c in chosen if c != out] + [inc]
+        swaps += 1
 
 
 def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolution:
@@ -202,27 +203,22 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
     v = problem.values()
     u, m = v.shape
     j = problem.num_surfaces
-    if j == m:
-        return _solution(v, range(m), "proven_optimal", {"method": "bnb", "nodes": 0})
-
     warm = solve_greedy_swap(problem)
     inc_cols = warm.chosen_spots
     inc_val = warm.objective_value
+    nodes = 0
 
-    def finished(nodes: int) -> PlanSolution:
-        return _solution(
-            v,
-            inc_cols,
-            "proven_optimal",
-            {"method": "bnb", "nodes": nodes, "upper_bound": float(inc_val)},
-        )
+    def finished(optimality: str, upper: float) -> PlanSolution:
+        stats = {"method": "bnb", "nodes": nodes, "upper_bound": float(upper)}
+        return _solution(v, inc_cols, optimality, stats)
 
     # No selection beats serving every user with its overall best spot;
     # per-user max is exact and the mean is monotone, so testing the
-    # incumbent against this cap is sound in float arithmetic.
-    global_ub = float(v.max(axis=1).mean())
+    # incumbent against this cap is sound in float arithmetic.  For J = M
+    # greedy+swap returns every spot, which meets the cap here.
+    global_ub = _value(v, range(m))
     if inc_val >= global_ub:
-        return finished(0)
+        return finished("proven_optimal", inc_val)
 
     # Drop spots elementwise-dominated by another (ties keep the lowest
     # id): swapping a dominated spot for its dominator never lowers any
@@ -239,26 +235,19 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
     vo = v[:, order]
     m = order.size
 
-    def slack(x: float) -> float:
-        return _BOUND_SLACK * (1.0 + abs(x))
-
     # Heap entries: (-bound, seq, chosen ordered-index tuple, next index).
     seq = itertools.count()
     heap: list[tuple[float, int, tuple[int, ...], int]] = []
     heapq.heappush(heap, (-math.inf, next(seq), (), 0))
-    nodes = 0
-    exhausted = False
     while heap:
         if inc_val >= global_ub:
-            return finished(nodes)
+            return finished("proven_optimal", inc_val)
         neg_bound, _, sel, nxt = heapq.heappop(heap)
         bound = -neg_bound
-        if bound + slack(bound) <= inc_val:
+        if bound + _slack(bound) <= inc_val:
             continue  # bound went stale after an incumbent update
         if nodes >= node_budget:
-            exhausted = True
-            heapq.heappush(heap, (neg_bound, next(seq), sel, nxt))
-            break
+            return finished("heuristic", max([inc_val, bound, *(-b for b, *_ in heap)]))
         nodes += 1
         k_rem = j - len(sel) - 1  # picks left after taking one more spot
         cur_max = vo[:, sel].max(axis=1) if sel else np.zeros(u)
@@ -275,10 +264,10 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
             # objective, best bound first.
             for off in np.argsort(-partial, kind="stable"):
                 p = float(partial[off])
-                if p + slack(p) <= inc_val:
+                if p + _slack(p) <= inc_val:
                     break
-                cols = tuple(int(order[c]) for c in (*sel, nxt + int(off)))
-                val, _ = _objective(v, cols)
+                cols = [int(order[c]) for c in (*sel, nxt + int(off))]
+                val = _value(v, cols)
                 if val > inc_val:
                     inc_val = val
                     inc_cols = cols
@@ -291,25 +280,23 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
         kth = gains.size - k_all
         top = gains if kth <= 0 else np.partition(gains, kth)[kth:]
         tight = base + float(top.sum())
-        if tight + slack(tight) <= inc_val:
+        if tight + _slack(tight) <= inc_val:
             continue
         # Greedy completion: an incumbent candidate, and an upper bound via
         # the 1 - (1 - 1/k)^k approximation guarantee for greedy maximum
         # coverage.
         g_cols, g_val = _greedy(mx, partial, block, base, k_all)
         if g_val > inc_val:
-            taken = set(sel) | {nxt + c for c in g_cols}
-            pad = (c for c in range(m) if c not in taken)
-            while len(taken) < j:  # zero-gain filler keeps the size exact
-                taken.add(next(pad))
-            cols = tuple(int(order[c]) for c in taken)
-            val, _ = _objective(v, cols)
+            # zero-gain filler keeps the size exact
+            taken = _pad((*sel, *(nxt + c for c in g_cols)), m, j)
+            cols = [int(order[c]) for c in taken]
+            val = _value(v, cols)
             if val > inc_val:
                 inc_val = val
                 inc_cols = cols
         factor = 1.0 - (1.0 - 1.0 / k_all) ** k_all
         nem = base + (g_val - base) / factor
-        if nem + slack(nem) <= inc_val:
+        if nem + _slack(nem) <= inc_val:
             continue
         # Per-child "union" bound: every user served by the best column at
         # or past the child, capped at last-1 since children need k_rem
@@ -333,23 +320,14 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
             absorb(float(gains[off]))
         for off in range(width - 1, -1, -1):
             child_bound = min(float(partial[off]) + top_sum, float(union[off]))
-            if child_bound + slack(child_bound) > inc_val:
+            if child_bound + _slack(child_bound) > inc_val:
                 child = nxt + off
                 heapq.heappush(
                     heap, (-child_bound, next(seq), (*sel, child), child + 1)
                 )
             if off > 0:
                 absorb(float(gains[off]))
-    if exhausted:
-        open_bounds = [-b for b, *_ in heap]
-        upper = max([inc_val, *open_bounds]) if open_bounds else inc_val
-        return _solution(
-            v,
-            inc_cols,
-            "heuristic",
-            {"method": "bnb", "nodes": nodes, "upper_bound": float(upper)},
-        )
-    return finished(nodes)
+    return finished("proven_optimal", inc_val)
 
 
 # solve_exact enumerates up to this many spot subsets, and runs
@@ -369,18 +347,27 @@ def solve_exact(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolut
     j = problem.num_surfaces
     if math.comb(m, j) > COMBINATION_LIMIT:
         return solve_bnb(problem, node_budget=node_budget)
-    best_val = -math.inf
-    best: tuple[int, ...] = ()
-    count = 0
-    for cols in itertools.combinations(range(m), j):
-        count += 1
-        val = float(v[:, cols].max(axis=1).mean())
-        if val > best_val:
-            best_val = val
-            best = cols
-    return _solution(
-        v, best, "proven_optimal", {"method": "enumeration", "nodes": count}
-    )
+    # max keeps the first of equal values: ties go to the lexicographically
+    # first subset
+    best = max(itertools.combinations(range(m), j), key=lambda cols: _value(v, cols))
+    stats = {"method": "enumeration", "nodes": math.comb(m, j)}
+    return _solution(v, best, "proven_optimal", stats)
+
+
+def _extend_plan(problem: PlanProblem, prev: PlanSolution) -> PlanSolution:
+    """prev's choice plus its best single additions, as a fallback plan.
+
+    Coverage values are 0/1, so the column-wise means that pick each
+    addition equal the canonical objective exactly.
+    """
+    v = problem.values()
+    j = problem.num_surfaces
+    chosen = list(prev.chosen_spots)
+    cur = v[:, chosen].max(axis=1)
+    cand = np.maximum(cur[:, None], v)
+    added, _ = _greedy(cand, cand.mean(axis=0), v, float(cur.mean()), j - len(chosen))
+    chosen = _pad(chosen + added, v.shape[1], j)
+    return _solution(v, chosen, "heuristic", {"method": "warm_extension"})
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ from .planner import (
     PlanProblem,
     PlanSolution,
     StatsGrid,
-    _greedy,
-    _solution,
+    _extend_plan,
     build_metric_matrices,
     evaluate_plan,
     link_stats_grid,
@@ -394,20 +393,3 @@ def run_coverage(cfg: ScenarioConfig) -> dict:
         "rows": rows,
         "budget_exhausted": exhausted,
     }
-
-
-def _extend_plan(problem: PlanProblem, prev: PlanSolution) -> PlanSolution:
-    """prev's choice plus its best single additions, as a fallback plan.
-
-    Coverage values are 0/1, so the column-wise means that pick each
-    addition equal the canonical objective exactly.
-    """
-    v = problem.values()
-    j = problem.num_surfaces
-    chosen = list(prev.chosen_spots)
-    cur = v[:, chosen].max(axis=1)
-    cand = np.maximum(cur[:, None], v)
-    added, _ = _greedy(cand, cand.mean(axis=0), v, float(cur.mean()), j - len(chosen))
-    chosen += added
-    chosen += [c for c in range(v.shape[1]) if c not in chosen][: j - len(chosen)]
-    return _solution(v, chosen, "heuristic", {"method": "warm_extension"})

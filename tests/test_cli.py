@@ -186,6 +186,26 @@ def test_empty_study_list_is_refused(tmp_path, capsys, section, key, command):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "thresholds, first, second",
+    [([20.0, 20.0000001], "20.0", "20.0000001"), ([20, 20], "20.0", "20.0")],
+)
+def test_report_thresholds_that_print_alike_are_refused(
+    tmp_path, capsys, thresholds, first, second
+):
+    # deploy keys its coverage ratios by f"{t:g}", so one entry would be lost
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        yaml.safe_dump(_with({"deploy": {"report_thresholds_db": thresholds}})), encoding="utf-8"
+    )
+    for command in ("validate", "deploy"):
+        assert main([command, "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: deploy.report_thresholds_db: {first} and {second} both print as '20'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
 def test_sweep_exponent_whose_peak_gain_overflows(tmp_path, capsys):
     # 400 nines parse to an infinite q
     path = tmp_path / "bad.yaml"

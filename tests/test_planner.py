@@ -84,8 +84,10 @@ def test_choosing_every_spot_serves_row_maxima():
     v = rng.uniform(0.0, 5.0, size=(7, 4))
     sol = solve_bnb(rate_problem(v, 4))
     assert sol.chosen_spots == (0, 1, 2, 3)
+    assert sol.assignment == tuple(np.argmax(v, axis=1).tolist())
     assert sol.objective_value == float(v.max(axis=1).mean())
     assert sol.solve_stats["nodes"] == 0
+    assert sol.solve_stats["upper_bound"] == sol.objective_value
 
 
 def test_exact_and_bnb_match_enumeration_continuous():
@@ -125,6 +127,9 @@ def test_greedy_is_exact_on_identical_rows():
     g = solve_greedy_swap(rate_problem(v, 2))
     e = solve_exact(rate_problem(v, 2))
     assert g.objective_value == e.objective_value == 5.0
+    # every pair holding spot 4 ties; enumeration keeps the first in
+    # lexicographic order
+    assert e.chosen_spots == (0, 4) and e.solve_stats["nodes"] == 10
 
 
 def test_greedy_quality_regression():

@@ -123,6 +123,30 @@ def test_fading_substreams_are_keyed_in_one_place():
     assert not imported & {"link", "seeds"}
 
 
+def test_runners_call_the_solvers_by_their_traced_names():
+    # the benchmark tracer swaps these names in runners' globals, so the
+    # runners import them unrenamed and call them bare; of planner's
+    # private names they import only _extend_plan
+    tree = ast.parse((ROOT / "src" / "irsplan" / "runners.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name: alias.asname
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "planner"
+        for alias in node.names
+    }
+    assert {name for name in imported if name.startswith("_")} == {"_extend_plan"}
+    traced = {"solve_greedy_swap", "solve_bnb", "solve_exact", "_extend_plan"}
+    assert all(name in imported and imported[name] is None for name in traced)
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {
+        node.func.id
+        for name in ("_solve", "run_coverage")
+        for node in ast.walk(funcs[name])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert traced <= called
+
+
 def test_stats_equals_its_matrix_entry(capsys):
     # stats builds a 1 x 1 grid at the pair's global index, so it must draw
     # what the deploy/coverage matrices draw for that pair
