@@ -127,8 +127,15 @@ def snr_series(
 
 def rate_and_snr_db(gamma: np.ndarray) -> tuple[float, float]:
     """Ergodic rate (bps/Hz) and average SNR (dB, 10 log10 E{gamma}) of an
-    SNR sample series; the average is -inf when E{gamma} is not positive."""
+    SNR sample series; the average is -inf when E{gamma} is not positive.
+    An E{gamma} past the float range is refused."""
     mean_gamma = float(np.mean(gamma))
+    if not math.isfinite(mean_gamma):
+        raise ValueError(
+            f"average SNR E{{gamma}} = p G / (N0 B) is {mean_gamma}, past the float range: "
+            "see power.p_total_mw, power.p_tx_max_mw, ap.element_max_gain, ap.num_elements, "
+            "surface.n_elements, rf.noise_psd_dbm_hz and rf.bandwidth_hz"
+        )
     avg_db = 10.0 * math.log10(mean_gamma) if mean_gamma > 0 else -math.inf
     return float(np.mean(np.log2(1.0 + gamma))), avg_db
 

@@ -16,11 +16,13 @@ study's warm extension, _extend_plan, adds to the previous J's plan its
 best single additions, for when a heuristic's plan at J covers fewer UEs.
 
 The matrices come from build_metric_matrices, the one Monte Carlo path of
-every study: deploy, coverage, the link sweep and stats.
+every study: deploy, coverage, the link sweep and stats.  Its unit of work
+is one UE row, mapped serially or over a process pool with equal bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -413,22 +415,6 @@ def evaluate_plan(
     )
 
 
-def _row_blocks(n_rows: int, blocks: int) -> list[tuple[int, int]]:
-    """``blocks`` contiguous [lo, hi) row ranges of near-equal size (fewer
-    when there are fewer rows)."""
-    n = max(1, min(n_rows, blocks))
-    edges = [n_rows * i // n for i in range(n + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _map_blocks(pool, fn, arg_tuples: list[tuple]) -> list:
-    """fn(*args) for each tuple, in order; in the pool's workers if given."""
-    if pool is None:
-        return [fn(*args) for args in arg_tuples]
-    futures = [pool.submit(fn, *args) for args in arg_tuples]
-    return [f.result() for f in futures]
-
-
 def link_stats_grid(
     scene: Scene,
     spots: list[CandidateSpot],
@@ -483,7 +469,6 @@ def build_metric_matrices(
     modes: tuple[str, ...] = ("active", "passive"),
     origin: tuple[int, int] = (0, 0),
     pool=None,
-    blocks: int = 1,
 ) -> dict[str, MetricMatrix]:
     """Monte Carlo metric matrices, one per requested surface mode.
 
@@ -491,30 +476,19 @@ def build_metric_matrices(
     origin + (u, m), so a grid cut out of a larger one gives its entries.
     Both modes reuse the same fading draws per pair, and the per-element
     draws do not depend on n_elements, so matrices across modes and element
-    counts are paired experiments.  Building ``blocks`` contiguous blocks
-    of UE rows, on ``pool`` (a concurrent.futures executor) when one is
-    given, gives bit-identical matrices.
+    counts are paired experiments.  Each UE row is one task, mapped over
+    ``pool`` (a concurrent.futures executor) when one is given; the
+    matrices are bit-identical either way.
     """
-    parts = _map_blocks(
-        pool,
-        _metric_rows,
-        [
-            (
-                StatsGrid(grid.direct[lo:hi], grid.ap_irs, grid.irs_ue[lo:hi]),
-                (origin[0] + lo, origin[1]),
-                budget,
-                n_elements,
-                n_mc,
-                master_seed,
-                modes,
-            )
-            for lo, hi in _row_blocks(grid.num_ues, blocks)
-        ],
+    row = functools.partial(
+        _metric_rows, grid.ap_irs, origin[1], budget, n_elements, n_mc, master_seed, modes
     )
+    ues = range(origin[0], origin[0] + grid.num_ues)
+    rows = list((map if pool is None else pool.map)(row, ues, grid.direct, grid.irs_ue))
     return {
         mode: MetricMatrix(
-            rates=np.concatenate([part[mode][0] for part in parts]),
-            avg_snr_db=np.concatenate([part[mode][1] for part in parts]),
+            rates=np.array([r[mode][0] for r in rows]),
+            avg_snr_db=np.array([r[mode][1] for r in rows]),
             mode=mode,
             n_elements=n_elements,
             n_mc=n_mc,
@@ -524,32 +498,32 @@ def build_metric_matrices(
 
 
 def _metric_rows(
-    grid: StatsGrid,
-    first: tuple[int, int],
+    ap_irs: tuple[LinkStats, ...],
+    first_spot: int,
     budget: PowerBudget,
     n_elements: int,
     n_mc: int,
     master_seed: int,
     modes: tuple[str, ...],
+    ue: int,
+    direct: LinkStats,
+    irs_ue: tuple[LinkStats, ...],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(rates, avg SNR dB) rows per mode of a grid whose entry [0, 0] is the
-    global (UE, spot) pair ``first``; the global pair keys the fading
-    substream, here and nowhere else."""
-    u, m = grid.num_ues, grid.num_spots
-    rates = {mode: np.empty((u, m)) for mode in modes}
-    snr_db = {mode: np.empty((u, m)) for mode in modes}
-    for i in range(u):
-        for mi in range(m):
-            series = snr_series(
-                grid.direct[i],
-                grid.ap_irs[mi],
-                grid.irs_ue[i][mi],
-                n_elements,
-                budget,
-                n_mc=n_mc,
-                seed_path=(master_seed, STREAM_FADING, first[0] + i, first[1] + mi),
-                modes=modes,
-            )
-            for mode, gamma in series.items():
-                rates[mode][i, mi], snr_db[mode][i, mi] = rate_and_snr_db(gamma)
-    return {mode: (rates[mode], snr_db[mode]) for mode in modes}
+    """(rates, avg SNR dB) rows per mode of global UE ``ue`` against the
+    global spots first_spot, first_spot + 1, ...; the global (UE, spot)
+    pair keys the fading substream, here and nowhere else."""
+    out = {mode: (np.empty(len(ap_irs)), np.empty(len(ap_irs))) for mode in modes}
+    for mi, (leg_ai, leg_iu) in enumerate(zip(ap_irs, irs_ue)):
+        series = snr_series(
+            direct,
+            leg_ai,
+            leg_iu,
+            n_elements,
+            budget,
+            n_mc=n_mc,
+            seed_path=(master_seed, STREAM_FADING, ue, first_spot + mi),
+            modes=modes,
+        )
+        for mode, gamma in series.items():
+            out[mode][0][mi], out[mode][1][mi] = rate_and_snr_db(gamma)
+    return out

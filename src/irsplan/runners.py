@@ -158,7 +158,7 @@ POOL_MIN_WORK = 8192
 
 def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
     """Pool size of a run's MC matrices: every usable core, capped at the UE
-    rows there are to split, and 1 (serial) for runs too small to pay for a
+    rows (one task each), and 1 (serial) for runs too small to pay for a
     pool."""
     if num_ues * num_spots * n_mc < POOL_MIN_WORK:
         return 1
@@ -274,7 +274,6 @@ def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, element_counts, modes)
                 master_seed=cfg.master_seed,
                 modes=modes,
                 pool=pool,
-                blocks=workers,
             )
             for n in dict.fromkeys(element_counts)
         }

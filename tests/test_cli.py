@@ -244,6 +244,23 @@ def test_carrier_whose_path_gain_overflows(tmp_path, capsys, command, base, f_c)
     assert "sweep.r_ai_m" not in err
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("coverage", []), ("stats", ["--ue", "0", "--spot", "0"]), ("link-sweep", [])],
+    ids=["coverage", "stats", "link-sweep"],
+)
+def test_snr_past_the_float_range_is_an_error_line(tmp_path, capsys, command, extra):
+    # every field is in range, but the passive surface's p G / (N0 B) is inf
+    cfg = _with({"power": {"p_total_mw": 1e308}}, yaml.safe_load(TINY_CUSTOM.read_text("utf-8")))
+    path = tmp_path / "loud.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main([command, "-c", str(path), *extra, "-o", str(tmp_path / "o")]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: average SNR E{gamma} = p G / (N0 B) is inf")
+    assert "power.p_total_mw" in last and "rf.noise_psd_dbm_hz" in last
+    assert not (tmp_path / "o").exists()
+
+
 def test_unallocatable_sizes_are_an_error_line(tmp_path, capsys):
     # numpy refuses 10**13 draws per mode before allocating any of them
     path = tmp_path / "huge.yaml"

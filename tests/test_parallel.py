@@ -13,7 +13,7 @@ import yaml
 import irsplan.runners
 from irsplan.cli import main
 from irsplan.config import ConfigError, config_from_dict
-from irsplan.planner import build_metric_matrices, link_stats_grid
+from irsplan.planner import StatsGrid, build_metric_matrices, link_stats_grid
 from irsplan.presets import build_scene
 from irsplan.runners import candidate_spots, worker_count
 
@@ -49,8 +49,8 @@ def test_cli_output_identical_for_one_and_two_workers(monkeypatch, tmp_path, com
     assert outs[0] == outs[1]
 
 
-def test_pool_grid_and_matrices_match_serial():
-    # 11 UEs in 3 blocks of 3, 4 and 4 rows on 2 workers.
+def eleven_ue_grid():
+    """An 11-UE scene's config and stats grid."""
     cfg = config_from_dict(
         {
             "master_seed": 3,
@@ -67,24 +67,37 @@ def test_pool_grid_and_matrices_match_serial():
     )
     scene = build_scene(cfg)
     spots = candidate_spots(cfg, scene)
-    args = (scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
-    kwargs = dict(
-        n_elements=8,
-        n_mc=cfg.mc.n_mc,
-        master_seed=cfg.master_seed,
+    assert scene.num_ues == 11 and len(spots) > 2
+    return cfg, link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
+
+
+def matrices(cfg, grid, **kwargs):
+    return build_metric_matrices(
+        grid, cfg.budget(), n_elements=8, n_mc=cfg.mc.n_mc, master_seed=cfg.master_seed, **kwargs
     )
-    serial_grid = link_stats_grid(*args)
-    serial = build_metric_matrices(serial_grid, cfg.budget(), **kwargs)
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(2, mp_context=ctx) as pool:
-        pooled = build_metric_matrices(
-            serial_grid, cfg.budget(), **kwargs, pool=pool, blocks=3
-        )
-    assert scene.num_ues == 11 and len(spots) > 1
+
+
+def test_pool_grid_and_matrices_match_serial():
+    cfg, grid = eleven_ue_grid()
+    serial = matrices(cfg, grid)
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        pooled = matrices(cfg, grid, pool=pool)
     assert set(pooled) == set(serial) == {"active", "passive"}
     for mode in serial:
         assert np.array_equal(pooled[mode].rates, serial[mode].rates)
         assert np.array_equal(pooled[mode].avg_snr_db, serial[mode].avg_snr_db)
+
+
+def test_pooled_sub_grid_with_an_origin_is_a_slice_of_the_full_matrices():
+    # UE rows 1-4 against the spots from 2 on, keyed by their global pairs
+    cfg, grid = eleven_ue_grid()
+    full = matrices(cfg, grid)
+    sub = StatsGrid(grid.direct[1:5], grid.ap_irs[2:], tuple(row[2:] for row in grid.irs_ue[1:5]))
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        pooled = matrices(cfg, sub, origin=(1, 2), pool=pool)
+    for mode in full:
+        assert np.array_equal(pooled[mode].rates, full[mode].rates[1:5, 2:])
+        assert np.array_equal(pooled[mode].avg_snr_db, full[mode].avg_snr_db[1:5, 2:])
 
 
 def test_worker_count_caps():

@@ -9,7 +9,11 @@ through deploy, coverage, spots, stats (--ue 1 --spot 2 and --ue 2
 --spot 3) and pattern-dump, and validate of tiny_custom and of the four
 presets.  Each runs in this process through irsplan.cli.main against the
 sources in ./src; the workload configs come from perfbench/workloads.py,
-imported read-only.  The manifest records the python and numpy versions
+imported read-only.  Beside them it hashes the JSON of the solver plans no
+standing output reaches, on the frozen matrices of tests/test_planner.py:
+branch-and-bound out of node budget and with J = M, and the coverage
+study's warm extension (importing that test module needs the test extra:
+pytest and scipy).  The manifest records the python and numpy versions
 it was made with, since float results may move with either.
 
 Exit 0 when every output matches, 1 naming each mismatch.  Takes about
@@ -19,6 +23,7 @@ Exit 0 when every output matches, 1 naming each mismatch.  Takes about
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -39,12 +44,14 @@ TINY_COMMANDS = {
     "pattern-dump": ("pattern-dump",),
 }
 
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
 import irsplan.cli  # noqa: E402
+from irsplan.planner import _extend_plan, solve_bnb, solve_greedy_swap  # noqa: E402
+from test_planner import COVERAGE_DROP, STALL_MATRIX, coverage_problem, rate_problem  # noqa: E402
 from workloads import WORKLOADS, make_config  # noqa: E402
 
 
@@ -63,8 +70,21 @@ def runs(tmp: Path):
         yield f"validate/{preset}", ("validate", "--preset", preset)
 
 
+def solver_plans() -> dict:
+    """name -> PlanSolution of each solver path no standing output reaches."""
+    two = solve_greedy_swap(coverage_problem(COVERAGE_DROP, 2))
+    return {
+        "solver/stall-bnb-budget1": solve_bnb(rate_problem(STALL_MATRIX, 3), node_budget=1),
+        "solver/stall-bnb-budget2": solve_bnb(rate_problem(STALL_MATRIX, 3), node_budget=2),
+        "solver/stall-bnb-all-spots": solve_bnb(rate_problem(STALL_MATRIX, STALL_MATRIX.shape[1])),
+        "solver/coverage-drop-extend3": _extend_plan(coverage_problem(COVERAGE_DROP, 3), two),
+        "solver/coverage-drop-extend4": _extend_plan(coverage_problem(COVERAGE_DROP, 4), two),
+    }
+
+
 def digests() -> dict[str, str]:
-    """name -> sha256 of the output file, or an 'exit N' note on failure."""
+    """name -> sha256 of the output file or plan JSON, or an 'exit N' note
+    on failure."""
     out = {}
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         for name, argv in runs(Path(tmp)):
@@ -75,6 +95,10 @@ def digests() -> dict[str, str]:
             out[name] = hashlib.sha256(path.read_bytes()).hexdigest() if ok else f"exit {rc}"
             path.unlink(missing_ok=True)
             print(f"{name:30s} {out[name]}", file=sys.stderr, flush=True)
+    for name, plan in solver_plans().items():
+        text = json.dumps(dataclasses.asdict(plan), sort_keys=True)
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{name:30s} {out[name]}", file=sys.stderr, flush=True)
     return out
 
 
