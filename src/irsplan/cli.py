@@ -74,7 +74,7 @@ def _write_text(path: str, text: str):
             fh.write(text)
 
 
-def _load(args) -> ScenarioConfig:
+def _load(args: argparse.Namespace) -> ScenarioConfig:
     if args.config:
         cfg = load_config(args.config)
     elif args.preset:
@@ -86,15 +86,13 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_validate(args) -> int:
-    cfg = _load(args)
+def _cmd_validate(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     payload = {"meta": header_meta(cfg), "config": config_to_dict(cfg)}
     write_json(args.out, payload)
     return EXIT_OK
 
 
-def _cmd_spots(args) -> int:
-    cfg = _load(args)
+def _cmd_spots(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     _, spots = scene_and_spots(cfg)
     rows = [
         {
@@ -110,22 +108,19 @@ def _cmd_spots(args) -> int:
     return EXIT_OK
 
 
-def _cmd_link_sweep(args) -> int:
-    cfg = _load(args)
+def _cmd_link_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     result = run_link_sweep(cfg)
     write_csv(args.out, result["meta"], result["rows"])
     return EXIT_OK
 
 
-def _cmd_deploy(args) -> int:
-    cfg = _load(args)
+def _cmd_deploy(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     result = run_deployment(cfg)
     write_json(args.out, result)
     return EXIT_BUDGET if result["budget_exhausted"] else EXIT_OK
 
 
-def _cmd_coverage(args) -> int:
-    cfg = _load(args)
+def _cmd_coverage(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     result = run_coverage(cfg)
     write_csv(
         args.out,
@@ -136,8 +131,7 @@ def _cmd_coverage(args) -> int:
     return EXIT_BUDGET if result["budget_exhausted"] else EXIT_OK
 
 
-def _cmd_pattern_dump(args) -> int:
-    cfg = _load(args)
+def _cmd_pattern_dump(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     ap = cfg.ap_pattern()
     erp = cfg.erp()
     rows = []
@@ -157,8 +151,7 @@ def _cmd_pattern_dump(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
-    cfg = _load(args)
+def _cmd_stats(cfg: ScenarioConfig, args: argparse.Namespace) -> int:
     scene, spots = scene_and_spots(cfg)
     if not (0 <= args.ue < scene.num_ues):
         raise ConfigError(f"--ue: must lie in [0, {scene.num_ues - 1}]")
@@ -243,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

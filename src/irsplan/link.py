@@ -60,11 +60,14 @@ def snr_from_sums(
     serves the UE alone with its full budget.
     """
     sigma2 = budget.noise_power
-    if n_elements == 0:
-        return budget.p_total * d * d / sigma2
-    if mode == "passive":
-        s = a + d
-        return budget.p_total * s * s / sigma2
+    # Overflow here can only give an inf gamma, which rate_and_snr_db
+    # refuses with the field names, so numpy need not warn first.
+    with np.errstate(over="ignore"):
+        if n_elements == 0:
+            return budget.p_total * d * d / sigma2
+        if mode == "passive":
+            s = a + d
+            return budget.p_total * s * s / sigma2
     sum_hi2, b = power_sums()
     sigma_v2 = budget.amp_noise_psd * budget.bandwidth
     t = budget.p_tx_max * sum_hi2 + n_elements * sigma_v2

@@ -64,10 +64,6 @@ class StatsGrid:
     def num_ues(self) -> int:
         return len(self.direct)
 
-    @property
-    def num_spots(self) -> int:
-        return len(self.ap_irs)
-
 
 @dataclass(frozen=True, eq=False)
 class MetricMatrix:

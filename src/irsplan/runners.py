@@ -3,6 +3,8 @@
 Each runner turns a ScenarioConfig into plain rows/dicts ready for CSV or
 JSON serialization; surface metrics come from planner.build_metric_matrices
 (the link sweep's too) and the no-surface baseline from direct_only_metrics.
+The deploy and coverage studies share one set-up, _study: scene, spots,
+plan-size check, stats grid, matrices, baseline, in that order.
 Outputs embed the tool version and the scenario fingerprint, draws go
 through seeded substreams and floats are emitted with repr precision, so
 identical configurations produce byte-identical files.
@@ -192,15 +194,6 @@ def _fork_pool(workers: int):
             raise ChildProcessError(f"a worker process died: {exc}") from exc
 
 
-def _check_plan_sizes(path: str, sizes, num_spots: int):
-    """Reject plans with more surfaces than spots before any grid or MC work."""
-    for size in sizes:
-        if size > num_spots:
-            raise ConfigError(
-                f"{path}: {size} surfaces exceed the {num_spots} candidate spots"
-            )
-
-
 def _spot_entry(spot) -> dict:
     return {
         "id": spot.id,
@@ -256,29 +249,32 @@ def direct_only_metrics(
     return rates, snr_db
 
 
-def _grid_and_matrices(cfg: ScenarioConfig, scene, spots, element_counts, modes):
-    """MC metric matrices per element count and the no-surface baseline
-    (rates, avg SNR dB).  The stats grid is built in this process, then the
+def _study(cfg: ScenarioConfig, path: str, sizes, element_counts, modes) -> tuple:
+    """The set-up of a deploy or coverage study: (scene, spots, MC metric
+    matrices per element count, no-surface baseline (rates, avg SNR dB)).
+
+    A plan size (at ``path``) larger than the spot count is refused before
+    any grid work.  The stats grid is built in this process, then the
     matrices on one pool of worker processes (see worker_count); the results
-    do not depend on its size."""
+    do not depend on its size.
+    """
+    scene, spots = scene_and_spots(cfg)
+    for size in sizes:
+        if size > len(spots):
+            raise ConfigError(f"{path}: {size} surfaces exceed the {len(spots)} candidate spots")
     budget = cfg.budget()
     grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
     workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
     with _fork_pool(workers) as pool:
         matrices = {
             n: build_metric_matrices(
-                grid,
-                budget,
-                n_elements=n,
-                n_mc=cfg.mc.n_mc,
-                master_seed=cfg.master_seed,
-                modes=modes,
-                pool=pool,
+                grid, budget, n_elements=n, n_mc=cfg.mc.n_mc,
+                master_seed=cfg.master_seed, modes=modes, pool=pool,
             )
             for n in dict.fromkeys(element_counts)
         }
     baseline = direct_only_metrics(grid.direct, budget, cfg.mc.n_mc, cfg.master_seed)
-    return matrices, baseline
+    return scene, spots, matrices, baseline
 
 
 def run_deployment(cfg: ScenarioConfig) -> dict:
@@ -288,15 +284,13 @@ def run_deployment(cfg: ScenarioConfig) -> dict:
     (J = k placements) and the plan maximizing the configured objective is
     solved per surface mode.
     """
-    scene, spots = scene_and_spots(cfg)
     dep = cfg.deploy
-    _check_plan_sizes("deploy.splits", dep.splits, len(spots))
     n_total = cfg.surface.n_total
-    matrices, (baseline_rates, baseline_snr) = _grid_and_matrices(
-        cfg, scene, spots, [n_total // split for split in dep.splits], dep.modes
+    scene, spots, matrices, (baseline_rates, baseline_snr) = _study(
+        cfg, "deploy.splits", dep.splits, [n_total // split for split in dep.splits], dep.modes
     )
     results = []
-    worst = "proven_optimal"
+    exhausted = False
     for split in dep.splits:
         n_per = n_total // split
         for mode in dep.modes:
@@ -309,7 +303,7 @@ def run_deployment(cfg: ScenarioConfig) -> dict:
             )
             solution = _solve(problem, dep.solver, dep.node_budget)
             if solution.optimality != "proven_optimal" and dep.solver != "greedy":
-                worst = "heuristic"
+                exhausted = True
             results.append(
                 _plan_entry(
                     mode, split, n_per, solution, matrix, spots, dep.report_thresholds_db
@@ -329,7 +323,7 @@ def run_deployment(cfg: ScenarioConfig) -> dict:
             },
         },
         "results": results,
-        "budget_exhausted": worst != "proven_optimal",
+        "budget_exhausted": exhausted,
     }
 
 
@@ -342,11 +336,11 @@ def run_coverage(cfg: ScenarioConfig) -> dict:
     started with the previous J's choice plus its best single extension, so
     the reported ratios are nondecreasing in J by construction.
     """
-    scene, spots = scene_and_spots(cfg)
     cov = cfg.coverage
-    _check_plan_sizes("coverage.num_surfaces", cov.num_surfaces, len(spots))
     n = cfg.surface.n_elements
-    matrices, (_, baseline_snr) = _grid_and_matrices(cfg, scene, spots, [n], cov.modes)
+    scene, spots, matrices, (_, baseline_snr) = _study(
+        cfg, "coverage.num_surfaces", cov.num_surfaces, [n], cov.modes
+    )
     rows = []
     exhausted = False
     for threshold in cov.thresholds_db:

@@ -32,7 +32,7 @@ from irsplan.planner import (
     solve_exact,
     solve_greedy_swap,
 )
-from irsplan.runners import _grid_and_matrices, run_coverage, run_link_sweep, scene_and_spots
+from irsplan.runners import _study, run_coverage, run_link_sweep
 
 from oracles import (
     IrsUnit,
@@ -78,9 +78,10 @@ def medium_bundle():
     """Scene, spots, and rate/SNR matrices of the medium deployment preset."""
     t0 = time.perf_counter()
     cfg = experiment_preset("split_1024")
-    scene, spots = scene_and_spots(cfg)
     # the pooled path that `irsplan deploy` runs
-    matrices, _ = _grid_and_matrices(cfg, scene, spots, (1024, 512, 256), ("active", "passive"))
+    _, spots, matrices, _ = _study(
+        cfg, "deploy.splits", cfg.deploy.splits, (1024, 512, 256), ("active", "passive")
+    )
     elapsed = time.perf_counter() - t0
     return {"spots": spots, "matrices": matrices, "elapsed": elapsed}
 

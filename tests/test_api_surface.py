@@ -1,11 +1,12 @@
 """No API, field or parameter in src/ that only tests use.
 
-Every top-level function and class of irsplan, and every method defined in
-a class body, must be referenced somewhere in src/irsplan or perfbench/
-outside its own definition: as a name, an attribute, an imported name, or
-a string naming it (the benchmark's tracer names its targets that way).
-Dunder methods run implicitly and are exempt.  Helpers that only tests
-need belong in tests/oracles.py.
+Every top-level function and class of irsplan must be referenced somewhere
+in src/irsplan or perfbench/ outside its own definition: as a name, an
+attribute, an imported name, or a string naming it (the benchmark's tracer
+names its targets that way).  A method or property defined in a class body
+must be read there as an attribute (obj.name); a string does not count, so
+a JSON key cannot hide a dead property.  Dunder methods run implicitly and
+are exempt.  Helpers that only tests need belong in tests/oracles.py.
 
 Every dataclass field must be read there too, as an attribute or a string
 (dataclasses.fields and getattr reach fields by name).  Names are matched
@@ -26,28 +27,32 @@ USERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) of the module's functions, classes and class methods."""
+    """(name, node, is_member) of the module's functions and classes, and
+    of the methods and properties of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item.name, item
+                    yield item.name, item, True
 
 
-def _references(tree: ast.Module, skip: ast.AST | None) -> set[str]:
-    """Names used in tree outside the subtree skip."""
+def _references(tree: ast.Module, skip: ast.AST | None, member: bool) -> set[str]:
+    """Names used in tree outside the subtree skip; of a member, only the
+    attributes read."""
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif member:
+            pass
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -62,12 +67,16 @@ def _trees():
 
 def test_every_definition_has_a_caller():
     trees = _trees()
-    refs = {path: _references(tree, None) for path, tree in trees.items()}
+    refs = {
+        (path, member): _references(tree, None, member)
+        for path, tree in trees.items()
+        for member in (False, True)
+    }
     unused = []
     for path in SOURCES:
-        elsewhere = set().union(*(refs[p] for p in USERS if p != path))
-        for name, node in _definitions(trees[path]):
-            if name not in elsewhere and name not in _references(trees[path], node):
+        for name, node, member in _definitions(trees[path]):
+            elsewhere = set().union(*(refs[p, member] for p in USERS if p != path))
+            if name not in elsewhere and name not in _references(trees[path], node, member):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, "referenced by nothing in src/ or perfbench/: " + ", ".join(unused)
 

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 import yaml
 
+import irsplan.runners
 from irsplan.cli import main, write_csv, write_json
-from irsplan.config import load_config, scenario_fingerprint
+from irsplan.config import config_from_dict, load_config, scenario_fingerprint
 from irsplan.patterns import ap_average_gain
+from irsplan.planner import PlanSolution, _extend_plan, solve_greedy_swap
 from irsplan.presets import build_scene
-from irsplan.runners import candidate_spots, parse_variant
+from irsplan.runners import candidate_spots, parse_variant, run_coverage
 
 TINY_CUSTOM = Path(__file__).resolve().parents[1] / "configs" / "tiny_custom.yaml"
 
@@ -246,15 +248,22 @@ def test_carrier_whose_path_gain_overflows(tmp_path, capsys, command, base, f_c)
 
 @pytest.mark.parametrize(
     "command, extra",
-    [("coverage", []), ("stats", ["--ue", "0", "--spot", "0"]), ("link-sweep", [])],
-    ids=["coverage", "stats", "link-sweep"],
+    [
+        ("deploy", []),
+        ("coverage", []),
+        ("stats", ["--ue", "0", "--spot", "0"]),
+        ("link-sweep", []),
+    ],
+    ids=["deploy", "coverage", "stats", "link-sweep"],
 )
 def test_snr_past_the_float_range_is_an_error_line(tmp_path, capsys, command, extra):
     # every field is in range, but the passive surface's p G / (N0 B) is inf
     cfg = _with({"power": {"p_total_mw": 1e308}}, yaml.safe_load(TINY_CUSTOM.read_text("utf-8")))
     path = tmp_path / "loud.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-    assert main([command, "-c", str(path), *extra, "-o", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning before the line
+        assert main([command, "-c", str(path), *extra, "-o", str(tmp_path / "o")]) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: average SNR E{gamma} = p G / (N0 B) is inf")
     assert "power.p_total_mw" in last and "rf.noise_psd_dbm_hz" in last
@@ -475,6 +484,33 @@ def test_coverage_ratios_monotone_in_surfaces(tiny_cfg, tmp_path):
             assert ratios[0] <= ratios[1]
     baselines = [r for r in rows if r["mode"] == "none"]
     assert all(int(r["num_surfaces"]) == 0 for r in baselines)
+
+
+def test_coverage_replaces_a_dipping_plan_by_the_warm_extension(monkeypatch):
+    # a greedy J = 2 plan below J = 1's gives way to J = 1's choice plus
+    # its best addition
+    cfg = yaml.safe_load(TINY_CUSTOM.read_text(encoding="utf-8"))
+    cfg = config_from_dict(_with({"coverage": {"solver": "greedy"}}, cfg))
+    assert cfg.coverage.num_surfaces == (1, 2)
+    first, extended = {}, {}
+
+    def dipping(problem):
+        key = (problem.threshold_db, problem.matrix.mode)
+        if problem.num_surfaces == 1:
+            first[key] = solve_greedy_swap(problem)
+            return first[key]
+        extended[key] = _extend_plan(problem, first[key])
+        return PlanSolution((), (), -1.0, "heuristic", {"method": "dip"})
+
+    monkeypatch.setattr(irsplan.runners, "solve_greedy_swap", dipping)
+    rows = run_coverage(cfg)["rows"]
+    by_key = {(r["threshold_db"], r["mode"], r["num_surfaces"]): r for r in rows}
+    assert len(extended) == 4
+    for (threshold, mode), plan in extended.items():
+        row = by_key[threshold, mode, 2]
+        assert row["coverage_ratio"] == plan.objective_value
+        assert row["coverage_ratio"] >= by_key[threshold, mode, 1]["coverage_ratio"]
+        assert row["optimality"] == "heuristic"
 
 
 # --- serialization helpers --------------------------------------------------

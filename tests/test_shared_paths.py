@@ -20,7 +20,7 @@ from irsplan.config import config_from_dict, load_config, parse_variant
 from irsplan.geometry import scatter_street_points
 from irsplan.link import MODES, PowerBudget, _amp_chunk, rate_and_snr_db, snr_from_sums, snr_series
 from irsplan.patterns import ErpModel
-from irsplan.runners import _grid_and_matrices, run_link_sweep, scene_and_spots
+from irsplan.runners import _study, run_link_sweep
 from irsplan.seeds import LEG_AP_IRS, LEG_IRS_UE, STREAM_FADING, substream
 
 from oracles import sample_fading
@@ -151,9 +151,8 @@ def test_stats_equals_its_matrix_entry(capsys):
     # stats builds a 1 x 1 grid at the pair's global index, so it must draw
     # what the deploy/coverage matrices draw for that pair
     cfg = load_config(str(TINY))
-    scene, spots = scene_and_spots(cfg)
     n = cfg.surface.n_elements
-    matrices, _ = _grid_and_matrices(cfg, scene, spots, [n], MODES)
+    scene, spots, matrices, _ = _study(cfg, "deploy.splits", cfg.deploy.splits, [n], MODES)
     pairs = [(u, m) for u in range(scene.num_ues) for m in range(len(spots))]
     assert len(pairs) == 12
     for u, m in pairs:
