@@ -6,8 +6,10 @@
 The standing outputs are the four benchmark workloads at full size and
 seeds 1 and 2, coverage_wide at seeds 3-8, configs/tiny_custom.yaml run
 through deploy, coverage, spots, stats (--ue 1 --spot 2 and --ue 2
---spot 3) and pattern-dump, and validate of tiny_custom and of the four
-presets.  Each runs in this process through irsplan.cli.main against the
+--spot 3) and pattern-dump, validate of tiny_custom and of the four
+presets, and spots of the two presets on the generated street grids
+(medium_deploy and widearea_coverage), which no other output builds.
+Each runs in this process through irsplan.cli.main against the
 sources in ./src; the workload configs come from perfbench/workloads.py,
 imported read-only.  Beside them it hashes the JSON of the solver plans no
 standing output reaches, on the frozen matrices of tests/test_planner.py:
@@ -35,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).resolve().parent / "GOLDEN.json"
 TINY = ROOT / "configs" / "tiny_custom.yaml"
 PRESETS = ("link_sweep", "medium_deploy", "split_1024", "widearea_coverage")
+GRID_PRESETS = ("medium_deploy", "widearea_coverage")
 TINY_COMMANDS = {
     "deploy": ("deploy",),
     "coverage": ("coverage",),
@@ -68,6 +71,8 @@ def runs(tmp: Path):
     yield "validate/tiny_custom", ("validate", "-c", str(TINY))
     for preset in PRESETS:
         yield f"validate/{preset}", ("validate", "--preset", preset)
+    for preset in GRID_PRESETS:
+        yield f"spots/{preset}", ("spots", "--preset", preset)
 
 
 def solver_plans() -> dict:
