@@ -216,17 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="coverage simulation and deployment planning for IRS-assisted links",
     )
     parser.add_argument("--version", action="version", version=f"irsplan {__version__}")
+    # The options every command takes, built once and copied into each.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-c", "--config", help="YAML configuration file")
+    common.add_argument(
+        "--preset",
+        choices=[preset for preset in PRESETS if preset != "custom"],
+        help="use a canned experiment configuration instead of --config",
+    )
+    common.add_argument("--seed", type=int, default=None, help="override the master seed")
+    common.add_argument("-o", "--out", default="-", help="output file ('-' = stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("-c", "--config", help="YAML configuration file")
-        p.add_argument(
-            "--preset",
-            choices=[preset for preset in PRESETS if preset != "custom"],
-            help="use a canned experiment configuration instead of --config",
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("-o", "--out", default="-", help="output file ('-' = stdout)")
+        p = sub.add_parser(name, parents=[common])
         if name == "stats":
             p.add_argument("--ue", type=int, default=0, help="UE index")
             p.add_argument("--spot", type=int, default=0, help="candidate spot id")

@@ -11,8 +11,6 @@ ApArrayPattern, ErpModel) are built.  Their values are checked here, and
 nowhere else, with the config field path.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import functools
 import hashlib
@@ -44,7 +42,8 @@ PRESETS = tuple(_PRESETS)
 SOLVERS = ("greedy", "bnb", "exact")
 
 _VARIANT_RE = re.compile(r"^(active|passive)(\d+)_q(\d+(?:\.\d+)?)$")
-# Evaluating the annotation strings was most of a parse; once per class suffices.
+# The annotations are live types (no postponed evaluation, so no strings to
+# compile on the first parse); resolving them once per class suffices.
 _type_hints = functools.cache(typing.get_type_hints)
 # libyaml's parser when PyYAML was built with it: ~1 ms per config instead of ~6.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -413,7 +412,8 @@ def _build(cls, base, data, path: str):
                 updates[f.name] = _build(hints[f.name], getattr(base, f.name), data[f.name], sub)
             else:
                 updates[f.name] = _coerce(data[f.name], hints[f.name], sub)
-    return dataclasses.replace(base, **updates)
+    # base is already checked: an empty override (the custom preset) keeps it
+    return dataclasses.replace(base, **updates) if updates else base
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

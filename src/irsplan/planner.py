@@ -3,10 +3,12 @@
 The planning problem: choose J candidate spots and associate every UE with
 one chosen spot to maximize the mean per-UE metric.  For a fixed choice of
 spots the optimal association is the per-UE argmax, so the search happens
-over spot subsets only; the set function is monotone submodular, which
-yields an admissible bound (partial value plus the top remaining
-single-spot marginal gains) for exact branch-and-bound and makes greedy a
-strong warm start.
+over spot subsets only.  This is the p-median problem, and exact
+branch-and-bound bounds it two ways: the set function is monotone
+submodular (partial value plus the top remaining single-spot marginal
+gains, which also makes greedy a strong warm start), and one Lagrangian
+relaxation at the root bounds every J-subset by per-user multipliers plus
+per-spot terms.
 
 Every solver scores a spot subset with the one function _value,
 float(V[:, cols].max(axis=1).mean()), so their optima agree bit-for-bit
@@ -181,16 +183,85 @@ def solve_greedy_swap(problem: PlanProblem) -> PlanSolution:
         swaps += 1
 
 
+def _column_terms(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """s_c = sum_u max(0, w_uc - lam_u) of every column c of w.
+
+    For every lam, negative entries included, a column subset S has
+    sum_u max_{c in S} w_uc <= lam.sum() + s[S].sum(): a user's best chosen
+    value exceeds lam_u by at most the sum of its chosen excesses.  With
+    w = v / U the left side is the objective, so this is the Lagrangian
+    relaxation of the p-median problem (Cornuejols, Fisher & Nemhauser,
+    Management Science 1977).
+    """
+    return np.maximum(w - lam[:, None], 0.0).sum(axis=0)
+
+
+# Polyak subgradient steps for the root multipliers: at most _ROOT_STEPS,
+# halving the step scale after _ROOT_STALL steps without a lower bound.
+_ROOT_STEPS = 300
+_ROOT_STALL = 20
+
+
+def _root_multipliers(w: np.ndarray, j: int, target: float) -> np.ndarray:
+    """Multipliers lam whose bound lam.sum() + (top j of s) on any j columns
+    of w is low: the best lam seen over Polyak subgradient steps (Held,
+    Wolfe & Crowder, Math. Prog. 1974) that aim at target, a plan's value.
+
+    Starts at half the row maxima; stops when the bound is within 1e-14
+    of target, when the subgradient vanishes or after _ROOT_STEPS steps.
+    """
+    lam = w.max(axis=1) / 2.0
+    best, best_bound = lam, math.inf
+    scale, stall = 2.0, 0
+    for _ in range(_ROOT_STEPS):
+        s = _column_terms(w, lam)
+        top = np.argpartition(s, s.size - j)[s.size - j :]
+        bound = float(lam.sum() + s[top].sum())
+        if bound < best_bound:
+            best, best_bound, stall = lam, bound, 0
+        else:
+            stall += 1
+            if stall == _ROOT_STALL:
+                scale, stall = scale / 2.0, 0
+        gap = bound - target
+        if gap <= 1e-14 * (1.0 + abs(target)):
+            break
+        # Subgradient: 1 minus the number of top-j columns above lam_u.
+        g = 1.0 - (w[:, top] > lam[:, None]).sum(axis=1)
+        norm2 = float(g @ g)
+        if norm2 == 0.0:
+            break
+        lam = lam - (scale * gap / norm2) * g
+    return best
+
+
+class _TopSum:
+    """The sum of the k largest values added so far (a min-heap of them)."""
+
+    def __init__(self, k: int):
+        self.k, self.heap, self.total = k, [], 0.0
+
+    def add(self, x: float):
+        if len(self.heap) < self.k:
+            heapq.heappush(self.heap, x)
+            self.total += x
+        elif x > self.heap[0]:
+            self.total += x - heapq.heappushpop(self.heap, x)
+
+
 def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolution:
     """Best-first branch-and-bound over spot subsets.
 
-    A partial selection is bounded by the tightest of three admissible
-    upper bounds: its value plus the sum of the largest remaining
-    single-spot marginal gains (submodularity), its value plus the greedy
-    completion gain scaled by the 1 - (1 - 1/k)^k guarantee, and the value
-    of covering every user with the best remaining spot ("union" bound).
-    Greedy completions double as incumbent candidates, and stored bounds
-    are re-tightened against the node's own coverage when popped.
+    A partial selection is bounded by the tighter of two admissible upper
+    bounds, which also order the search: its value plus the sum of the
+    largest remaining single-spot marginal gains (submodularity), and the
+    value of covering every user with the best remaining spot ("union"
+    bound); stored bounds are re-tightened against the node's own
+    coverage when popped.  A child is not pushed either when the root
+    Lagrangian bound of the p-median problem rules it out: multipliers
+    lam, found once by subgradient steps for J >= 2, bound every J-subset
+    by sum(lam) plus its columns' terms (_column_terms).  Greedy
+    completions of every expanded node are incumbent candidates.
     Elementwise-dominated spots are dropped up front (some optimum avoids
     them), the search stops once the incumbent serves every user as well
     as the best spot overall could, and spots are scanned in descending
@@ -232,6 +303,13 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
     order = keep[np.argsort(-v[:, keep].mean(axis=0), kind="stable")]
     vo = v[:, order]
     m = order.size
+
+    # One root Lagrangian bound prunes children at push: every J-subset S
+    # of the columns has value <= lam_sum + s[S].sum().  At J = 1 every
+    # child is a leaf, and lam = the row maxima (s = 0) is merely valid.
+    w = vo / u
+    lam = _root_multipliers(w, j, inc_val) if j >= 2 else w.max(axis=1)
+    lam_sum, s = float(lam.sum()), _column_terms(w, lam)
 
     # Heap entries: (-bound, seq, chosen ordered-index tuple, next index).
     seq = itertools.count()
@@ -280,9 +358,7 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
         tight = base + float(top.sum())
         if tight + _slack(tight) <= inc_val:
             continue
-        # Greedy completion: an incumbent candidate, and an upper bound via
-        # the 1 - (1 - 1/k)^k approximation guarantee for greedy maximum
-        # coverage.
+        # Greedy completion: an incumbent candidate.
         g_cols, g_val = _greedy(mx, partial, block, base, k_all)
         if g_val > inc_val:
             # zero-gain filler keeps the size exact
@@ -292,39 +368,31 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
             if val > inc_val:
                 inc_val = val
                 inc_cols = cols
-        factor = 1.0 - (1.0 - 1.0 / k_all) ** k_all
-        nem = base + (g_val - base) / factor
-        if nem + _slack(nem) <= inc_val:
-            continue
         # Per-child "union" bound: every user served by the best column at
         # or past the child, capped at last-1 since children need k_rem
         # further columns after them.
         width = last - nxt
         sfx = np.maximum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
         union = np.maximum(mx[:, :width], sfx[:, 1 : width + 1]).mean(axis=0)
-        topk: list[float] = []  # min-heap of the best k_rem gains in the suffix
-        top_sum = 0.0
-
-        def absorb(g: float):
-            nonlocal top_sum
-            if len(topk) < k_rem:
-                heapq.heappush(topk, g)
-                top_sum += g
-            elif g > topk[0]:
-                top_sum += g - heapq.heappushpop(topk, g)
-
-        # Columns last..m-1 cannot start a child but do complete one.
-        for off in range(gains.size - 1, width - 1, -1):
-            absorb(float(gains[off]))
+        # The best k_rem marginal gains and Lagrangian column terms past
+        # the child; columns last..m-1 cannot start a child but do complete
+        # one.
+        top_gain, top_lag = _TopSum(k_rem), _TopSum(k_rem)
+        for c in range(m - 1, last - 1, -1):
+            top_gain.add(float(gains[c - nxt]))
+            top_lag.add(float(s[c]))
+        lag_sel = lam_sum + float(s[list(sel)].sum())
         for off in range(width - 1, -1, -1):
-            child_bound = min(float(partial[off]) + top_sum, float(union[off]))
-            if child_bound + _slack(child_bound) > inc_val:
-                child = nxt + off
+            child = nxt + off
+            child_bound = min(float(partial[off]) + top_gain.total, float(union[off]))
+            lag = lag_sel + float(s[child]) + top_lag.total
+            if child_bound + _slack(child_bound) > inc_val and lag + _slack(lag) > inc_val:
                 heapq.heappush(
                     heap, (-child_bound, next(seq), (*sel, child), child + 1)
                 )
             if off > 0:
-                absorb(float(gains[off]))
+                top_gain.add(float(gains[off]))
+                top_lag.add(float(s[child]))
     return finished("proven_optimal", inc_val)
 
 

@@ -167,31 +167,43 @@ def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
     return max(1, min(cores, num_ues))
 
 
-@contextlib.contextmanager
-def _fork_pool(workers: int):
-    """A process pool of ``workers`` forked workers, or None (serial) below two.
+class _ForkPool:
+    """map over ``workers`` forked worker processes, started by the first map.
 
-    A worker that dies takes the pool down; that surfaces as a
-    ChildProcessError, an OSError like any other failure of the machine.
+    The pool machinery is imported and started in that first map, inside
+    build_metric_matrices, so its cost (about 15 ms on a 2-core VM, most
+    of it the import of concurrent.futures and multiprocessing) is booked
+    as Monte Carlo work.  Imported there: serial runs and the other
+    subcommands do not pay for it.  Fork, not spawn: a spawned worker would
+    start a new interpreter and re-import numpy and irsplan (about 0.3 s
+    each on a 2-core VM), and the run has started no threads of its own
+    when the pool forks.  A worker that dies takes the pool down; that
+    surfaces as a ChildProcessError, an OSError like any other failure of
+    the machine.
     """
-    if workers < 2:
-        yield None
-        return
-    # Imported here: the pool machinery costs tens of ms that serial runs
-    # and the other subcommands should not pay at start-up.  Fork, not
-    # spawn: a spawned worker would start a new interpreter and re-import
-    # numpy and irsplan (about 0.3 s each on a 2-core VM), and the run has
-    # started no threads of its own when the pool forks.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+    def __init__(self, workers: int):
+        self.workers, self.executor = workers, None
+
+    def map(self, fn, *iterables):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self.executor is None:
+            ctx = multiprocessing.get_context("fork")
+            self.executor = ProcessPoolExecutor(self.workers, mp_context=ctx)
         try:
-            yield pool
+            yield from self.executor.map(fn, *iterables)
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"a worker process died: {exc}") from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.executor is not None:
+            self.executor.shutdown()
 
 
 def _spot_entry(spot) -> dict:
@@ -265,7 +277,7 @@ def _study(cfg: ScenarioConfig, path: str, sizes, element_counts, modes) -> tupl
     budget = cfg.budget()
     grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
     workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
-    with _fork_pool(workers) as pool:
+    with _ForkPool(workers) if workers >= 2 else contextlib.nullcontext() as pool:
         matrices = {
             n: build_metric_matrices(
                 grid, budget, n_elements=n, n_mc=cfg.mc.n_mc,
