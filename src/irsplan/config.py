@@ -412,8 +412,7 @@ def _build(cls, base, data, path: str):
                 updates[f.name] = _build(hints[f.name], getattr(base, f.name), data[f.name], sub)
             else:
                 updates[f.name] = _coerce(data[f.name], hints[f.name], sub)
-    # base is already checked: an empty override (the custom preset) keeps it
-    return dataclasses.replace(base, **updates) if updates else base
+    return dataclasses.replace(base, **updates)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

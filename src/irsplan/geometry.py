@@ -183,8 +183,12 @@ def los_clear_many(a, b, scene: Scene) -> np.ndarray:
             t_lo = np.where(slab, np.maximum(t_lo, np.minimum(t1, t2)), t_lo)
             t_hi = np.where(slab, np.minimum(t_hi, np.maximum(t1, t2)), t_hi)
             # Segment runs parallel to this slab; it can only pass through
-            # boxes it is strictly inside of along this axis.
-            alive = alive & (slab | ((a[..., ax] > mn[:, ax]) & (a[..., ax] < mx[:, ax])))
+            # boxes both its ends are strictly inside of along this axis
+            # (both, so that a-b and b-a agree when the ends differ by less
+            # than the parallel tolerance).
+            lo = np.minimum(a[..., ax], b[..., ax])
+            hi = np.maximum(a[..., ax], b[..., ax])
+            alive = alive & (slab | ((lo > mn[:, ax]) & (hi < mx[:, ax])))
     blocked = np.any(alive & (t_hi - t_lo > _BLOCK_EPS), axis=-1)
     return coincident | ~blocked
 

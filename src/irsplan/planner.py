@@ -541,8 +541,8 @@ def build_metric_matrices(
     Both modes reuse the same fading draws per pair, and the per-element
     draws do not depend on n_elements, so matrices across modes and element
     counts are paired experiments.  Each UE row is one task, mapped over
-    ``pool`` (a concurrent.futures executor) when one is given; the
-    matrices are bit-identical either way.
+    ``pool`` (anything with an ordered ``map``, such as a concurrent.futures
+    executor) when one is given; the matrices are bit-identical either way.
     """
     row = functools.partial(
         _metric_rows, grid.ap_irs, origin[1], budget, n_elements, n_mc, master_seed, modes

@@ -12,8 +12,9 @@ identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
-import contextlib
 import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -152,9 +153,10 @@ def pool_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# Runs with fewer (UE, spot, MC draw) triples than this stay serial: there
-# the pool's import, start and shutdown (20-50 ms on a 2-core VM) cost more
-# than a second worker saves on the MC matrices.
+# Runs with fewer (UE, spot, MC draw) triples than this stay serial.  The
+# threshold dates from a process pool whose import, start and shutdown cost
+# 20-50 ms on a 2-core VM; the forks of one matrix build cost about 4 ms
+# there, so it errs on the serial side.
 POOL_MIN_WORK = 8192
 
 
@@ -167,43 +169,78 @@ def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
     return max(1, min(cores, num_ues))
 
 
-class _ForkPool:
-    """map over ``workers`` forked worker processes, started by the first map.
+def _fork_pool(workers: int):
+    """A map over ``workers`` forked children, or None (serial) below two."""
+    return _ForkMap(workers) if workers >= 2 else None
 
-    The pool machinery is imported and started in that first map, inside
-    build_metric_matrices, so its cost (about 15 ms on a 2-core VM, most
-    of it the import of concurrent.futures and multiprocessing) is booked
-    as Monte Carlo work.  Imported there: serial runs and the other
-    subcommands do not pay for it.  Fork, not spawn: a spawned worker would
-    start a new interpreter and re-import numpy and irsplan (about 0.3 s
-    each on a 2-core VM), and the run has started no threads of its own
-    when the pool forks.  A worker that dies takes the pool down; that
-    surfaces as a ChildProcessError, an OSError like any other failure of
-    the machine.
+
+class _ForkMap:
+    """``map`` over forked children, forked afresh by every call.
+
+    Child w computes items w, w + workers, ... and sends its results back
+    pickled through a pipe; the parent puts them back in input order.  Rows
+    of one matrix cost the same, so the stripes balance.  No pool machinery
+    is imported (concurrent.futures and multiprocessing take about 12 ms
+    to import on a 2-core VM) and no child outlives the call.  Fork, not
+    spawn: a spawned worker would start a new interpreter and re-import
+    numpy and irsplan (about 0.3 s each on a 2-core VM), and the run has
+    started no threads of its own when it forks.  An exception raised in a
+    child is raised again here; a child that dies without sending its
+    results surfaces as a ChildProcessError, an OSError like any other
+    failure of the machine.
     """
 
     def __init__(self, workers: int):
-        self.workers, self.executor = workers, None
+        self.workers = workers
 
-    def map(self, fn, *iterables):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        if self.executor is None:
-            ctx = multiprocessing.get_context("fork")
-            self.executor = ProcessPoolExecutor(self.workers, mp_context=ctx)
+    def map(self, fn, *iterables) -> list:
+        items = list(zip(*iterables))
+        n = min(self.workers, len(items))
+        children, data, statuses = [], [], []
         try:
-            yield from self.executor.map(fn, *iterables)
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a worker process died: {exc}") from exc
+            for w in range(n):
+                children.append(_fork_child(fn, items[w::n]))
+            data = [pipe.read() for _, pipe in children]
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                if len(data) < len(children):  # stopped by an error: kill the rest
+                    os.kill(pid, signal.SIGKILL)
+                statuses.append(os.waitpid(pid, 0)[1])
+        results = [None] * len(items)
+        for w, (status, raw) in enumerate(zip(statuses, data)):
+            if status or not raw:
+                raise ChildProcessError(f"a worker process died (wait status {status})")
+            ok, payload = pickle.loads(raw)
+            if not ok:
+                raise payload
+            results[w::n] = payload
+        return results
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc_info):
-        if self.executor is not None:
-            self.executor.shutdown()
+def _fork_child(fn, items: list):
+    """Fork a child that maps ``fn`` over ``items`` and pickles the outcome,
+    (True, results) or (False, exception), into a pipe: (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:  # the child: never returns, and runs none of the parent's exit code
+        os.close(read_fd)
+        try:
+            outcome = (True, [fn(*args) for args in items])
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
 
 
 def _spot_entry(spot) -> dict:
@@ -267,8 +304,8 @@ def _study(cfg: ScenarioConfig, path: str, sizes, element_counts, modes) -> tupl
 
     A plan size (at ``path``) larger than the spot count is refused before
     any grid work.  The stats grid is built in this process, then the
-    matrices on one pool of worker processes (see worker_count); the results
-    do not depend on its size.
+    matrices over forked worker processes (see worker_count); the results
+    do not depend on their number.
     """
     scene, spots = scene_and_spots(cfg)
     for size in sizes:
@@ -277,14 +314,14 @@ def _study(cfg: ScenarioConfig, path: str, sizes, element_counts, modes) -> tupl
     budget = cfg.budget()
     grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
     workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
-    with _ForkPool(workers) if workers >= 2 else contextlib.nullcontext() as pool:
-        matrices = {
-            n: build_metric_matrices(
-                grid, budget, n_elements=n, n_mc=cfg.mc.n_mc,
-                master_seed=cfg.master_seed, modes=modes, pool=pool,
-            )
-            for n in dict.fromkeys(element_counts)
-        }
+    pool = _fork_pool(workers)
+    matrices = {
+        n: build_metric_matrices(
+            grid, budget, n_elements=n, n_mc=cfg.mc.n_mc,
+            master_seed=cfg.master_seed, modes=modes, pool=pool,
+        )
+        for n in dict.fromkeys(element_counts)
+    }
     baseline = direct_only_metrics(grid.direct, budget, cfg.mc.n_mc, cfg.master_seed)
     return scene, spots, matrices, baseline
 

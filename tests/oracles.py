@@ -275,8 +275,8 @@ def _segment_blocked(a: np.ndarray, b: np.ndarray, mn: np.ndarray, mx: np.ndarra
             t_hi = np.minimum(t_hi, hi)
         else:
             # Segment runs parallel to this slab; it can only pass through
-            # boxes it is strictly inside of along this axis.
-            alive &= (a[ax] > mn[:, ax]) & (a[ax] < mx[:, ax])
+            # boxes both its ends are strictly inside of along this axis.
+            alive &= (min(a[ax], b[ax]) > mn[:, ax]) & (max(a[ax], b[ax]) < mx[:, ax])
     return bool(np.any(alive & (t_hi - t_lo > _BLOCK_EPS)))
 
 

@@ -100,6 +100,15 @@ def test_pooled_sub_grid_with_an_origin_is_a_slice_of_the_full_matrices():
         assert np.array_equal(pooled[mode].avg_snr_db, full[mode].avg_snr_db[1:5, 2:])
 
 
+def test_fork_map_keeps_input_order_and_raises_worker_errors():
+    pool = irsplan.runners._fork_pool(2)
+    assert irsplan.runners._fork_pool(1) is None  # serial below two workers
+    assert pool.map(pow, range(5), [2] * 5) == [0, 1, 4, 9, 16]
+    assert pool.map(abs, [-3]) == [3] and pool.map(abs, []) == []
+    with pytest.raises(ZeroDivisionError):
+        pool.map(divmod, [1, 2, 3], [1, 0, 1])
+
+
 def test_worker_count_caps():
     assert worker_count(100, 150, 16, cores=2) == 2  # every usable core
     assert worker_count(100, 150, 16, cores=1) == 1

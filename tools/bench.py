@@ -1,19 +1,16 @@
 """Bench file: the four perfbench workloads, untraced and traced, in one JSON.
 
-    python3 tools/bench.py LABEL [--seed 1] [--seconds 25]
+    python3 tools/bench.py LABEL
 
-Runs ``perfbench/run.py --workload W --trace 0`` and ``--trace 1`` for every
-workload of perfbench/workloads.py, as it stands, and writes
-BENCH_<LABEL>.json at the repository root: each run's result as run.py
-prints it (correct, attempted and failed operations, and every metric with
-its unit), beside nproc, the python and numpy versions and the commit.
-Nothing under perfbench/ is edited; run.py keeps its generated configs in
-perfbench/results/ (git-ignored).  Takes about 8 x SECONDS.
+Runs ``perfbench/run.py --all`` at its defaults (seed 1, 25 s a run, so
+about 8 x 25 s in all), reads the per-run results it leaves in
+perfbench/results/summary.json (git-ignored) and writes BENCH_<LABEL>.json
+at the repository root: each run's result as run.py reports it (correct,
+attempted and failed operations, and every metric with its unit), keyed
+``<workload>/trace<0|1>``, beside nproc, the python and numpy versions and
+the commit.  Nothing under perfbench/ is edited.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import os
 import platform
@@ -24,61 +21,32 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-RUN = ROOT / "perfbench" / "run.py"
-
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
-
-NOTE = ("With more than one worker the Monte Carlo kernel runs in the pool's "
+NOTE = ("With more than one worker the Monte Carlo kernel runs in forked "
         "workers, so a traced run books their kernel time under mc, not kernel.")
 
 
-def commit() -> str:
-    """The checkout's commit, marked -dirty when the tree differs from it."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
-
-
-def run(workload: str, trace: int, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--trace", str(trace),
-           "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"{workload} --trace {trace} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-3000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("label")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    args = ap.parse_args(argv)
+def main(label: str) -> int:
+    subprocess.run([sys.executable, "perfbench/run.py", "--all"], cwd=ROOT, check=True)
+    describe = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                              capture_output=True, text=True)
     bench = {
-        "label": args.label,
-        "commit": commit(),
+        "label": label,
+        "commit": describe.stdout.strip() or "unknown",
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": 1,
+        "seconds": 25.0,
         "note": NOTE,
-        "workloads": {},
+        "runs": json.loads((ROOT / "perfbench/results/summary.json").read_text(encoding="utf-8")),
     }
-    for name in WORKLOADS:
-        bench["workloads"][name] = {}
-        for trace in (0, 1):
-            res = run(name, trace, args.seed, args.seconds)
-            bench["workloads"][name][f"trace{trace}"] = res
-            print(f"{name} trace {trace}: correct={res['correct']} "
-                  f"failed={res['failed']}/{res['attempted']}", file=sys.stderr, flush=True)
-    out = ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{label}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out.name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
