@@ -154,9 +154,8 @@ def pool_cores() -> int:
 
 
 # Runs with fewer (UE, spot, MC draw) triples than this stay serial.  The
-# threshold dates from a process pool whose import, start and shutdown cost
-# 20-50 ms on a 2-core VM; the forks of one matrix build cost about 4 ms
-# there, so it errs on the serial side.
+# forks of one matrix build cost about 4 ms on a 2-core VM; whether a lower
+# threshold pays is unmeasured.
 POOL_MIN_WORK = 8192
 
 

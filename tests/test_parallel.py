@@ -1,9 +1,7 @@
-"""Process-pool builds of the MC matrices, and the early error paths around
-them.  No test starts more than two worker processes."""
+"""Builds of the MC matrices on forked workers, and the early error paths
+around them.  No test starts more than two worker processes."""
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +78,7 @@ def matrices(cfg, grid, **kwargs):
 def test_pool_grid_and_matrices_match_serial():
     cfg, grid = eleven_ue_grid()
     serial = matrices(cfg, grid)
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
-        pooled = matrices(cfg, grid, pool=pool)
+    pooled = matrices(cfg, grid, pool=irsplan.runners._fork_pool(2))
     assert set(pooled) == set(serial) == {"active", "passive"}
     for mode in serial:
         assert np.array_equal(pooled[mode].rates, serial[mode].rates)
@@ -93,8 +90,7 @@ def test_pooled_sub_grid_with_an_origin_is_a_slice_of_the_full_matrices():
     cfg, grid = eleven_ue_grid()
     full = matrices(cfg, grid)
     sub = StatsGrid(grid.direct[1:5], grid.ap_irs[2:], tuple(row[2:] for row in grid.irs_ue[1:5]))
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
-        pooled = matrices(cfg, sub, origin=(1, 2), pool=pool)
+    pooled = matrices(cfg, sub, origin=(1, 2), pool=irsplan.runners._fork_pool(2))
     for mode in full:
         assert np.array_equal(pooled[mode].rates, full[mode].rates[1:5, 2:])
         assert np.array_equal(pooled[mode].avg_snr_db, full[mode].avg_snr_db[1:5, 2:])
