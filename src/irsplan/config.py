@@ -349,10 +349,12 @@ def parse_variant(label: str) -> tuple[str, int, float | None]:
         raise ValueError(
             f"unknown sweep variant {label!r}; expected e.g. 'active64_q1' or 'ap_only'"
         )
-    q = float(m.group(3))
+    n, q = int(m.group(2)), float(m.group(3))
+    if n == 0:
+        raise ValueError(f"{label!r}: the element count must be positive")
     if math.isinf(ErpModel(q).max_gain):
         raise ValueError(f"{label!r}: the peak gain 2 (q + 1) overflows")
-    return m.group(1), int(m.group(2)), q
+    return m.group(1), n, q
 
 
 # Parsing ------------------------------------------------------------------
@@ -393,9 +395,10 @@ def _coerce(value, ftype, path: str):
     raise ConfigError(f"{path}: unsupported field type {ftype!r}")
 
 
-def _build(cls, base, data, path: str):
-    """base with the fields data gives, in field order: a dataclass-typed
-    field recurses, any other goes to _coerce.  path is "" at the root."""
+def _build(cls, data, path: str):
+    """cls from the fields data gives, in field order, and the defaults of
+    the rest: a dataclass-typed field recurses, any other goes to _coerce.
+    path is "" at the root."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
     hints = _type_hints(cls)
@@ -404,29 +407,34 @@ def _build(cls, base, data, path: str):
     if unknown:
         name = sorted(unknown)[0]
         raise ConfigError(f"{path}.{name}: unknown field" if path else f"{name}: unknown section")
-    updates = {}
+    values = {}
     for f in fields:
         if f.name in data:
             sub = f"{path}.{f.name}" if path else f.name
             if dataclasses.is_dataclass(hints[f.name]):
-                updates[f.name] = _build(hints[f.name], getattr(base, f.name), data[f.name], sub)
+                values[f.name] = _build(hints[f.name], data[f.name], sub)
             else:
-                updates[f.name] = _coerce(data[f.name], hints[f.name], sub)
-    return dataclasses.replace(base, **updates)
+                values[f.name] = _coerce(data[f.name], hints[f.name], sub)
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from nested plain dicts, strictly.
 
     Unknown keys and wrongly typed values raise ConfigError with the field
-    path.  A "preset" key first loads that preset's defaults; everything
-    else overrides field by field.
+    path.  A "preset" key puts that preset's overrides under the data,
+    section by section; the data wins field by field.
     """
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root: expected a mapping")
-    return _build(ScenarioConfig, experiment_preset(data.get("preset", "custom")), data, "")
+    name = data.get("preset", "custom")
+    merged = dict(_PRESETS.get(name, {}) if isinstance(name, str) else {})
+    for key, value in data.items():
+        under = merged.get(key)
+        merged[key] = {**under, **value} if isinstance(value, dict) and under else value
+    return _build(ScenarioConfig, merged, "")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -459,4 +467,4 @@ def scenario_fingerprint(cfg: ScenarioConfig) -> str:
 
 def experiment_preset(name: str) -> ScenarioConfig:
     """One canned experiment; ScenarioConfig checks the name."""
-    return _build(ScenarioConfig, ScenarioConfig(preset=name), _PRESETS[name], "")
+    return config_from_dict({"preset": name})

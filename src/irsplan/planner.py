@@ -19,7 +19,8 @@ best single additions, for when a heuristic's plan at J covers fewer UEs.
 
 The matrices come from build_metric_matrices, the one Monte Carlo path of
 every study: deploy, coverage, the link sweep and stats.  Its unit of work
-is one UE row, mapped serially or over a process pool with equal bytes.
+is one UE row; it sizes its own workers (worker_count) and maps the rows
+over forked children, or in this process, with equal bytes either way.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ import functools
 import heapq
 import itertools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,8 +332,6 @@ def solve_bnb(problem: PlanProblem, node_budget: int = 2_000_000) -> PlanSolutio
         k_rem = j - len(sel) - 1  # picks left after taking one more spot
         cur_max = vo[:, sel].max(axis=1) if sel else np.zeros(u)
         last = m - k_rem  # children need k_rem further columns after them
-        if last <= nxt:
-            continue
         block = vo[:, nxt:]
         # Coverage after adding any single remaining column, reused by
         # every bound below.
@@ -532,7 +534,6 @@ def build_metric_matrices(
     master_seed: int,
     modes: tuple[str, ...] = ("active", "passive"),
     origin: tuple[int, int] = (0, 0),
-    pool=None,
 ) -> dict[str, MetricMatrix]:
     """Monte Carlo metric matrices, one per requested surface mode.
 
@@ -541,14 +542,15 @@ def build_metric_matrices(
     Both modes reuse the same fading draws per pair, and the per-element
     draws do not depend on n_elements, so matrices across modes and element
     counts are paired experiments.  Each UE row is one task, mapped over
-    ``pool`` (anything with an ordered ``map``, such as a concurrent.futures
-    executor) when one is given; the matrices are bit-identical either way.
+    worker_count forked children (serial below two); the matrices are
+    bit-identical for every worker count.
     """
     row = functools.partial(
         _metric_rows, grid.ap_irs, origin[1], budget, n_elements, n_mc, master_seed, modes
     )
     ues = range(origin[0], origin[0] + grid.num_ues)
-    rows = list((map if pool is None else pool.map)(row, ues, grid.direct, grid.irs_ue))
+    workers = worker_count(grid.num_ues, len(grid.ap_irs), n_mc, pool_cores())
+    rows = _fork_map(row, list(zip(ues, grid.direct, grid.irs_ue)), workers)
     return {
         mode: MetricMatrix(
             rates=np.array([r[mode][0] for r in rows]),
@@ -591,3 +593,89 @@ def _metric_rows(
         for mode, gamma in series.items():
             out[mode][0][mi], out[mode][1][mi] = rate_and_snr_db(gamma)
     return out
+
+
+def pool_cores() -> int:
+    """Cores the MC workers may use: the process's CPU affinity set on
+    Linux.  Elsewhere fork is unsafe or missing, so runs stay serial."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# Builds with fewer (UE, spot, MC draw) triples than this stay serial.  The
+# forks of one matrix build cost about 4 ms on a 2-core VM; whether a lower
+# threshold pays is unmeasured.
+POOL_MIN_WORK = 8192
+
+
+def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
+    """Workers of one matrix build: every usable core, capped at the UE rows
+    (one task each), and 1 (serial) for builds too small to pay for forks."""
+    if num_ues * num_spots * n_mc < POOL_MIN_WORK:
+        return 1
+    return max(1, min(cores, num_ues))
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """[fn(*args) for args in items], over ``workers`` children forked for
+    this call, or in this process below two workers.
+
+    Child w computes items w, w + workers, ... and sends its results back
+    pickled through a pipe; the parent puts them back in input order.  Rows
+    of one matrix cost the same, so the stripes balance.  No pool machinery
+    is imported (concurrent.futures and multiprocessing take about 12 ms
+    to import on a 2-core VM) and no child outlives the call.  Fork, not
+    spawn: a spawned worker would start a new interpreter and re-import
+    numpy and irsplan (about 0.3 s each on a 2-core VM), and the run has
+    started no threads of its own when it forks.  An exception raised in a
+    child is raised again here; a child that dies without sending its
+    results surfaces as a ChildProcessError, an OSError like any other
+    failure of the machine.
+    """
+    if workers < 2:
+        return [fn(*args) for args in items]
+    n = min(workers, len(items))
+    children, data, statuses = [], [], []
+    try:
+        for w in range(n):
+            children.append(_fork_child(fn, items[w::n]))
+        data = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if len(data) < len(children):  # stopped by an error: kill the rest
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    results = [None] * len(items)
+    for w, (status, raw) in enumerate(zip(statuses, data)):
+        if status or not raw:
+            raise ChildProcessError(f"a worker process died (wait status {status})")
+        ok, payload = pickle.loads(raw)
+        if not ok:
+            raise payload
+        results[w::n] = payload
+    return results
+
+
+def _fork_child(fn, items: list):
+    """Fork a child that maps ``fn`` over ``items`` and pickles the outcome,
+    (True, results) or (False, exception), into a pipe: (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:  # the child: never returns, and runs none of the parent's exit code
+        os.close(read_fd)
+        try:
+            outcome = (True, [fn(*args) for args in items])
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)

@@ -12,10 +12,6 @@ identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-
 import numpy as np
 
 from . import __version__
@@ -147,101 +143,6 @@ def scene_and_spots(cfg: ScenarioConfig) -> tuple:
     return scene, spots
 
 
-def pool_cores() -> int:
-    """Cores a fork pool may use: the process's CPU affinity set on Linux.
-    Elsewhere fork is unsafe or missing, so runs stay serial (one core)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-# Runs with fewer (UE, spot, MC draw) triples than this stay serial.  The
-# forks of one matrix build cost about 4 ms on a 2-core VM; whether a lower
-# threshold pays is unmeasured.
-POOL_MIN_WORK = 8192
-
-
-def worker_count(num_ues: int, num_spots: int, n_mc: int, cores: int) -> int:
-    """Pool size of a run's MC matrices: every usable core, capped at the UE
-    rows (one task each), and 1 (serial) for runs too small to pay for a
-    pool."""
-    if num_ues * num_spots * n_mc < POOL_MIN_WORK:
-        return 1
-    return max(1, min(cores, num_ues))
-
-
-def _fork_pool(workers: int):
-    """A map over ``workers`` forked children, or None (serial) below two."""
-    return _ForkMap(workers) if workers >= 2 else None
-
-
-class _ForkMap:
-    """``map`` over forked children, forked afresh by every call.
-
-    Child w computes items w, w + workers, ... and sends its results back
-    pickled through a pipe; the parent puts them back in input order.  Rows
-    of one matrix cost the same, so the stripes balance.  No pool machinery
-    is imported (concurrent.futures and multiprocessing take about 12 ms
-    to import on a 2-core VM) and no child outlives the call.  Fork, not
-    spawn: a spawned worker would start a new interpreter and re-import
-    numpy and irsplan (about 0.3 s each on a 2-core VM), and the run has
-    started no threads of its own when it forks.  An exception raised in a
-    child is raised again here; a child that dies without sending its
-    results surfaces as a ChildProcessError, an OSError like any other
-    failure of the machine.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-
-    def map(self, fn, *iterables) -> list:
-        items = list(zip(*iterables))
-        n = min(self.workers, len(items))
-        children, data, statuses = [], [], []
-        try:
-            for w in range(n):
-                children.append(_fork_child(fn, items[w::n]))
-            data = [pipe.read() for _, pipe in children]
-        finally:
-            for pid, pipe in children:
-                pipe.close()
-                if len(data) < len(children):  # stopped by an error: kill the rest
-                    os.kill(pid, signal.SIGKILL)
-                statuses.append(os.waitpid(pid, 0)[1])
-        results = [None] * len(items)
-        for w, (status, raw) in enumerate(zip(statuses, data)):
-            if status or not raw:
-                raise ChildProcessError(f"a worker process died (wait status {status})")
-            ok, payload = pickle.loads(raw)
-            if not ok:
-                raise payload
-            results[w::n] = payload
-        return results
-
-
-def _fork_child(fn, items: list):
-    """Fork a child that maps ``fn`` over ``items`` and pickles the outcome,
-    (True, results) or (False, exception), into a pipe: (pid, read end)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    try:  # the child: never returns, and runs none of the parent's exit code
-        os.close(read_fd)
-        try:
-            outcome = (True, [fn(*args) for args in items])
-        except Exception as exc:
-            outcome = (False, exc)
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
-
-
 def _spot_entry(spot) -> dict:
     return {
         "id": spot.id,
@@ -302,9 +203,7 @@ def _study(cfg: ScenarioConfig, path: str, sizes, element_counts, modes) -> tupl
     matrices per element count, no-surface baseline (rates, avg SNR dB)).
 
     A plan size (at ``path``) larger than the spot count is refused before
-    any grid work.  The stats grid is built in this process, then the
-    matrices over forked worker processes (see worker_count); the results
-    do not depend on their number.
+    any grid work.
     """
     scene, spots = scene_and_spots(cfg)
     for size in sizes:
@@ -312,12 +211,10 @@ def _study(cfg: ScenarioConfig, path: str, sizes, element_counts, modes) -> tupl
             raise ConfigError(f"{path}: {size} surfaces exceed the {len(spots)} candidate spots")
     budget = cfg.budget()
     grid = link_stats_grid(scene, spots, cfg.ap_pattern(), cfg.erp(), cfg.rf.f_c_ghz)
-    workers = worker_count(scene.num_ues, len(spots), cfg.mc.n_mc, pool_cores())
-    pool = _fork_pool(workers)
     matrices = {
         n: build_metric_matrices(
             grid, budget, n_elements=n, n_mc=cfg.mc.n_mc,
-            master_seed=cfg.master_seed, modes=modes, pool=pool,
+            master_seed=cfg.master_seed, modes=modes,
         )
         for n in dict.fromkeys(element_counts)
     }

@@ -134,6 +134,7 @@ UNCONVERTIBLE = [
         *[(override, [], field) for override, field in UNCONVERTIBLE],
         # more street UEs than floats can count
         ({"layout": {"num_ues": 10**400, "ues_xy": None}}, [], "layout.num_ues"),
+        ({"sweep": {"variants": ["active0_q1"]}}, [], "sweep.variants"),  # no elements
     ],
 )
 def test_bad_model_inputs_name_their_field(tmp_path, capsys, override, extra, field):
@@ -427,6 +428,8 @@ def test_parse_variant_labels():
     assert parse_variant("ap_only") == ("none", 0, None)
     with pytest.raises(ValueError):
         parse_variant("hybrid64_q1")
+    with pytest.raises(ValueError, match="element count must be positive"):
+        parse_variant("active0_q1")
 
 
 # --- deploy -----------------------------------------------------------------

@@ -8,21 +8,28 @@ import numpy as np
 import pytest
 import yaml
 
+import irsplan.planner
 import irsplan.runners
 from irsplan.cli import main
 from irsplan.config import ConfigError, config_from_dict
-from irsplan.planner import StatsGrid, build_metric_matrices, link_stats_grid
+from irsplan.planner import (
+    StatsGrid,
+    _fork_map,
+    build_metric_matrices,
+    link_stats_grid,
+    worker_count,
+)
 from irsplan.presets import build_scene
-from irsplan.runners import candidate_spots, worker_count
+from irsplan.runners import candidate_spots
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny_custom.yaml"
 
 
 def use_cores(monkeypatch, cores: int):
-    """Size the runners' pools to ``cores`` workers, even on a one-core
-    machine and for configs below the serial-run threshold."""
-    monkeypatch.setattr(irsplan.runners, "pool_cores", lambda: cores)
-    monkeypatch.setattr(irsplan.runners, "POOL_MIN_WORK", 0)
+    """Size every matrix build to ``cores`` workers, even on a one-core
+    machine and for grids below the serial-run threshold."""
+    monkeypatch.setattr(irsplan.planner, "pool_cores", lambda: cores)
+    monkeypatch.setattr(irsplan.planner, "POOL_MIN_WORK", 0)
 
 
 def write_config(tmp_path, **sections) -> str:
@@ -75,34 +82,35 @@ def matrices(cfg, grid, **kwargs):
     )
 
 
-def test_pool_grid_and_matrices_match_serial():
+def test_pool_grid_and_matrices_match_serial(monkeypatch):
     cfg, grid = eleven_ue_grid()
     serial = matrices(cfg, grid)
-    pooled = matrices(cfg, grid, pool=irsplan.runners._fork_pool(2))
+    use_cores(monkeypatch, 2)
+    pooled = matrices(cfg, grid)
     assert set(pooled) == set(serial) == {"active", "passive"}
     for mode in serial:
         assert np.array_equal(pooled[mode].rates, serial[mode].rates)
         assert np.array_equal(pooled[mode].avg_snr_db, serial[mode].avg_snr_db)
 
 
-def test_pooled_sub_grid_with_an_origin_is_a_slice_of_the_full_matrices():
+def test_pooled_sub_grid_with_an_origin_is_a_slice_of_the_full_matrices(monkeypatch):
     # UE rows 1-4 against the spots from 2 on, keyed by their global pairs
     cfg, grid = eleven_ue_grid()
     full = matrices(cfg, grid)
     sub = StatsGrid(grid.direct[1:5], grid.ap_irs[2:], tuple(row[2:] for row in grid.irs_ue[1:5]))
-    pooled = matrices(cfg, sub, origin=(1, 2), pool=irsplan.runners._fork_pool(2))
+    use_cores(monkeypatch, 2)
+    pooled = matrices(cfg, sub, origin=(1, 2))
     for mode in full:
         assert np.array_equal(pooled[mode].rates, full[mode].rates[1:5, 2:])
         assert np.array_equal(pooled[mode].avg_snr_db, full[mode].avg_snr_db[1:5, 2:])
 
 
 def test_fork_map_keeps_input_order_and_raises_worker_errors():
-    pool = irsplan.runners._fork_pool(2)
-    assert irsplan.runners._fork_pool(1) is None  # serial below two workers
-    assert pool.map(pow, range(5), [2] * 5) == [0, 1, 4, 9, 16]
-    assert pool.map(abs, [-3]) == [3] and pool.map(abs, []) == []
+    assert _fork_map(os.getpid, [()], 1) == [os.getpid()]  # serial below two workers
+    assert _fork_map(pow, [(x, 2) for x in range(5)], 2) == [0, 1, 4, 9, 16]
+    assert _fork_map(abs, [(-3,)], 2) == [3] and _fork_map(abs, [], 2) == []
     with pytest.raises(ZeroDivisionError):
-        pool.map(divmod, [1, 2, 3], [1, 0, 1])
+        _fork_map(divmod, [(1, 1), (2, 0), (3, 1)], 2)
 
 
 def test_worker_count_caps():
@@ -171,6 +179,14 @@ def _die(*args):
     if os.getpid() == PARENT_PID:
         raise AssertionError("the MC rows ran in the parent, not in a worker")
     os._exit(1)
+
+
+def test_matrix_build_forks_its_own_workers(monkeypatch):
+    cfg, grid = eleven_ue_grid()
+    use_cores(monkeypatch, 2)
+    monkeypatch.setattr("irsplan.planner._metric_rows", _die)
+    with pytest.raises(ChildProcessError):
+        matrices(cfg, grid)
 
 
 def test_dead_worker_is_an_error_line(monkeypatch, tmp_path, capsys):

@@ -9,6 +9,11 @@ at the repository root: each run's result as run.py reports it (correct,
 attempted and failed operations, and every metric with its unit), keyed
 ``<workload>/trace<0|1>``, beside nproc, the python and numpy versions and
 the commit.  Nothing under perfbench/ is edited.
+
+A bench file is one run per side of a comparison: two of them show counts
+(solve.nodes, mc.element_draws) reliably, but not a change in time, which
+needs at least ten alternating pairs of ``perfbench/run.py --workload W``
+runs of the two commits.
 """
 
 import json
